@@ -36,7 +36,12 @@ Invariant codes reported (see DESIGN.md for the paper references):
   barriers are excluded from the graph because dynamic ceilings can
   dissolve without any cycle member releasing;
 - ``SAN-REP-WRITER``  — a secondary site originated an object version
-  the primary has never seen (single-writer/multiple-reader, R2).
+  the primary has never seen (single-writer/multiple-reader, R2);
+- ``SAN-CC-LEDGER``   — the protocol's request counters disagree with
+  the grants and blocks this checker counted itself, or break
+  ``requests = immediate_grants + blocks`` or
+  ``blocks = direct_blocks + ceiling_blocks`` (checked at every
+  deregister).
 """
 
 from __future__ import annotations
@@ -129,6 +134,11 @@ class ProtocolChecker:
         #: Transactions that executed their release point and may not
         #: acquire again until they abort/restart or leave.
         self._shrunk: Set[Any] = set()
+        #: The checker's own count of immediate grants and blocks,
+        #: reconciled against ``cc.stats`` at every deregister.
+        self._immediate = 0
+        self._blocks = 0
+        self._ledger_reported = False
         # Watch the raw lock table too: a grant that bypasses the
         # protocol (state corruption) still gets race-checked.
         if getattr(cc.locks, "observer", None) is None:
@@ -152,11 +162,14 @@ class ProtocolChecker:
 
     def on_deregister(self, txn) -> None:
         self._shrunk.discard(txn)
+        self._check_ledger(txn)
 
     def on_block(self, txn, oid: int, mode) -> None:
-        pass
+        self._blocks += 1
 
     def on_grant(self, txn, oid: int, mode, waited: bool) -> None:
+        if not waited:
+            self._immediate += 1
         if txn in self._shrunk:
             self._report(
                 "SAN-2PL-PHASE",
@@ -194,6 +207,31 @@ class ProtocolChecker:
         pass
 
     # -- shared checks ---------------------------------------------------
+    def _check_ledger(self, txn) -> None:
+        stats = getattr(self.cc, "stats", None)
+        if stats is None or self._ledger_reported:
+            return
+        entries = (
+            ("immediate_grants", stats.immediate_grants, self._immediate,
+             "observed"),
+            ("blocks", stats.blocks, self._blocks, "observed"),
+            ("requests", stats.requests,
+             stats.immediate_grants + stats.blocks,
+             "immediate_grants + blocks"),
+            ("blocks", stats.blocks,
+             stats.direct_blocks + stats.ceiling_blocks,
+             "direct_blocks + ceiling_blocks"))
+        problems = [f"{name} {got} != {want} {source}"
+                    for name, got, want, source in entries if got != want]
+        if problems:
+            self._ledger_reported = True  # one report per checker
+            self._report(
+                "SAN-CC-LEDGER",
+                f"lock-request counters out of balance at the "
+                f"deregister of transaction {txn.tid}: "
+                f"{'; '.join(problems)}",
+                txn=txn)
+
     def _check_race(self, oid: int) -> None:
         holders = self.cc.locks.holders(oid)
         if len(holders) < 2:
@@ -303,6 +341,7 @@ class CeilingChecker(ProtocolChecker):
                 txn=txn, oid=oid)
 
     def on_block(self, txn, oid: int, mode) -> None:
+        super().on_block(txn, oid, mode)
         barrier, barrier_oid, blocking = self._barrier(txn)
         conflicters = self._conflicters(txn, oid, mode)
         ceiling_blocked = barrier is not None and txn.priority <= barrier

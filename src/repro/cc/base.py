@@ -176,49 +176,11 @@ class ConcurrencyControl:
         """Syscall: obtain ``mode`` on ``oid``, blocking per protocol."""
 
         def attempt(kernel: Kernel, process: Process):
-            self.stats.requests += 1
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.lock_request(kernel.now, txn, oid, mode)
-            if self._can_acquire(txn, oid, mode):
-                self.locks.grant(oid, txn, mode)
-                self.stats.immediate_grants += 1
-                if self.sanitizer is not None:
-                    self.sanitizer.on_grant(txn, oid, mode, waited=False)
-                if tracer is not None:
-                    tracer.lock_grant(kernel.now, txn, oid, mode,
-                                      waited=False)
-                if self.meter is not None:
-                    self.meter.on_grant(kernel.now, txn, oid,
-                                        waited=False)
+            if self._request(txn, oid, mode, process) is None:
                 return Immediate(None)
-            self.stats.blocks += 1
-            conflicts = self.locks.conflicting_holders(oid, txn, mode)
-            if conflicts:
-                self.stats.direct_blocks += 1
-                cause = BLOCKING_DIRECT
-            else:
-                self.stats.ceiling_blocks += 1
-                cause = BLOCKING_CEILING
-            request = Request(txn, oid, mode, process, next(self._seq),
-                              kernel.now)
-            self._enqueue(request)
-            process.blocker = _RequestBlocker(self, request)
-            if self.sanitizer is not None:
-                self.sanitizer.on_block(txn, oid, mode)
-            if tracer is not None:
-                tracer.lock_block(
-                    kernel.now, txn, oid, mode, cause,
-                    conflicts or self._trace_blockers(request))
-            if self.meter is not None:
-                self.meter.on_block(kernel.now, request, cause)
-            # _on_block may raise a TransactionAbort into the requester
-            # (deadlock victim); it must leave protocol state clean if so.
-            self._on_block(request)
-            self._after_change()
             return BLOCKED
 
-        return Call(attempt, label=f"lock({oid},{mode})")
+        return Call(attempt)
 
     def acquire_async(self, txn: Transaction, oid: int, mode: LockMode,
                       on_grant, process: Optional[Process] = None) -> bool:
@@ -231,22 +193,31 @@ class ConcurrencyControl:
         (the ceiling protocols) support this path — the 2PL victim
         machinery assumes a parked requester.
         """
+        return self._request(
+            txn, oid, mode,
+            process if process is not None else txn.process,
+            on_grant) is None
+
+    def _request(self, txn: Transaction, oid: int, mode: LockMode,
+                 process: Process, on_grant=None) -> Optional[Request]:
+        """One lock request: grant it now (returns None) or park it and
+        return the waiting :class:`Request`.  Without ``on_grant`` the
+        requester is a process parked on the acquire syscall."""
         self.stats.requests += 1
+        now = self.kernel.now
         tracer = self.tracer
         if tracer is not None:
-            tracer.lock_request(self.kernel.now, txn, oid, mode)
+            tracer.lock_request(now, txn, oid, mode)
         if self._can_acquire(txn, oid, mode):
             self.locks.grant(oid, txn, mode)
             self.stats.immediate_grants += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_grant(txn, oid, mode, waited=False)
             if tracer is not None:
-                tracer.lock_grant(self.kernel.now, txn, oid, mode,
-                                  waited=False)
+                tracer.lock_grant(now, txn, oid, mode, waited=False)
             if self.meter is not None:
-                self.meter.on_grant(self.kernel.now, txn, oid,
-                                    waited=False)
-            return True
+                self.meter.on_grant(now, txn, oid, waited=False)
+            return None
         self.stats.blocks += 1
         conflicts = self.locks.conflicting_holders(oid, txn, mode)
         if conflicts:
@@ -255,21 +226,23 @@ class ConcurrencyControl:
         else:
             self.stats.ceiling_blocks += 1
             cause = BLOCKING_CEILING
-        request = Request(txn, oid, mode,
-                          process if process is not None else txn.process,
-                          next(self._seq), self.kernel.now,
+        request = Request(txn, oid, mode, process, next(self._seq), now,
                           on_grant=on_grant)
         self._enqueue(request)
+        if on_grant is None:
+            process.blocker = _RequestBlocker(self, request)
         if self.sanitizer is not None:
             self.sanitizer.on_block(txn, oid, mode)
         if tracer is not None:
-            tracer.lock_block(self.kernel.now, txn, oid, mode, cause,
+            tracer.lock_block(now, txn, oid, mode, cause,
                               conflicts or self._trace_blockers(request))
         if self.meter is not None:
-            self.meter.on_block(self.kernel.now, request, cause)
+            self.meter.on_block(now, request, cause)
+        # _on_block may raise a TransactionAbort into the requester
+        # (deadlock victim); it must leave protocol state clean if so.
         self._on_block(request)
         self._after_change()
-        return False
+        return request
 
     def cancel_async(self, txn: Transaction) -> int:
         """Withdraw every queued async request of ``txn`` (abort path).
@@ -396,8 +369,40 @@ class ConcurrencyControl:
             del self._waiting_by_oid[request.oid]
 
     # ------------------------------------------------------------------
-    # inheritance plumbing shared by PI and ceiling protocols
+    # inheritance plumbing shared by PI, FMLP and ceiling protocols
     # ------------------------------------------------------------------
+    def _inherit(self, blockers) -> None:
+        """Inheritance fixpoint: each holder inherits the highest
+        *effective* priority among the waiters it blocks, and effective
+        priorities feed forward (T3 holding what T2 needs inherits T1's
+        priority when T1 blocks on T2).  ``blockers(request)`` gives the
+        holders blocking a waiter; the requester itself is skipped among
+        them.  Chains are bounded by the number of waiters, so W + 1
+        passes suffice.  Contributions are inserted in waiter order,
+        then holder order — the order :meth:`_apply_inheritance`
+        applies them in.
+        """
+        for __ in range(len(self.waiting) + 1):
+            contributions: dict = {}
+            for request in self.waiting:
+                holders = blockers(request)
+                if not holders:
+                    continue
+                txn = request.txn
+                waiter_priority = request.waiter_priority()
+                for holder in holders:
+                    if holder is not txn:
+                        current = contributions.get(holder)
+                        if current is None or current < waiter_priority:
+                            contributions[holder] = waiter_priority
+            if not self._apply_inheritance(contributions):
+                break
+
+    def _conflicters(self, request: Request) -> List[Transaction]:
+        """Holders whose mode conflicts with ``request`` (PI's edges)."""
+        return self.locks.conflicting_holders(request.oid, request.txn,
+                                              request.mode)
+
     def _apply_inheritance(self, contributions: dict) -> bool:
         """Set inherited priorities from {txn: priority}.
 

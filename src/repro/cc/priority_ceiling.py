@@ -58,44 +58,60 @@ class PriorityCeiling(ConcurrencyControl):
             self.name = "Cx"
         #: Active transactions (started, not completed).
         self.active: Set[Transaction] = set()
-        #: oid -> active transactions declaring a write on it.
-        self._writers: Dict[int, Set[Transaction]] = {}
-        #: oid -> active transactions declaring any access to it.
-        self._accessors: Dict[int, Set[Transaction]] = {}
-        #: Barrier index cache: sorted (-ceiling, table_seq, oid) over
-        #: locked oids, valid for one (lock-table, active-set) version
-        #: pair.  See _barrier_entries.
-        self._entries: list = []
-        self._entries_version = (-1, -1)
-        self._active_version = 0
+        #: oid -> {active transaction declaring a write on it: its
+        #: priority}, and the same for any access.
+        self._writers: Dict[int, Dict[Transaction, float]] = {}
+        self._accessors: Dict[int, Dict[Transaction, float]] = {}
+        #: oid -> max priority of its writers / accessors: the static
+        #: write and absolute ceilings, kept in step with the indexes.
+        self._write_ceilings: Dict[int, float] = {}
+        self._absolute_ceilings: Dict[int, float] = {}
+        #: (head, runner-up) memo and the lock-table version it is for;
+        #: see _barriers.
+        self._barriers_memo = (None, None)
+        self._barriers_version = -1
 
     # ------------------------------------------------------------------
     # active set maintenance (drives the static ceilings)
     # ------------------------------------------------------------------
-    def register(self, txn: Transaction) -> None:
-        super().register(txn)
-        self._active_version += 1
-        self.active.add(txn)
+    def _indexes(self, txn: Transaction):
+        """(declarer index, ceilings, declared oids) per static ceiling."""
         write_set = (txn.access_set if self.exclusive_only
                      else txn.write_set)
-        for oid in write_set:
-            self._writers.setdefault(oid, set()).add(txn)
-        for oid in txn.access_set:
-            self._accessors.setdefault(oid, set()).add(txn)
+        return ((self._writers, self._write_ceilings, write_set),
+                (self._accessors, self._absolute_ceilings,
+                 txn.access_set))
+
+    def register(self, txn: Transaction) -> None:
+        super().register(txn)
+        self._barriers_version = -1  # ceilings change: drop the memo
+        self.active.add(txn)
+        priority = txn.priority
+        for index, ceilings, oids in self._indexes(txn):
+            for oid in oids:
+                index.setdefault(oid, {})[txn] = priority
+                ceiling = ceilings.get(oid)
+                if ceiling is None or priority > ceiling:
+                    ceilings[oid] = priority
         if self.tracer is not None:
             self.tracer.ceiling_raise(self.kernel.now, txn,
                                       self._active_ceiling())
 
     def deregister(self, txn: Transaction) -> None:
-        self._active_version += 1
+        self._barriers_version = -1  # ceilings change: drop the memo
         self.active.discard(txn)
-        for index in (self._writers, self._accessors):
-            for oid in txn.access_set:
+        for index, ceilings, oids in self._indexes(txn):
+            for oid in oids:
                 declarers = index.get(oid)
-                if declarers is not None:
-                    declarers.discard(txn)
-                    if not declarers:
-                        del index[oid]
+                if declarers is None:
+                    continue
+                priority = declarers.pop(txn, None)
+                if not declarers:
+                    del index[oid]
+                    del ceilings[oid]
+                elif priority == ceilings[oid]:
+                    # The max declarer left: recompute this one ceiling.
+                    ceilings[oid] = max(declarers.values())
         if self.tracer is not None:
             self.tracer.ceiling_lower(self.kernel.now, txn,
                                       self._active_ceiling())
@@ -115,62 +131,72 @@ class PriorityCeiling(ConcurrencyControl):
     # ------------------------------------------------------------------
     def write_ceiling(self, oid: int) -> Optional[float]:
         """Static write-priority ceiling (None if no active writer)."""
-        declarers = self._writers.get(oid)
-        if not declarers:
-            return None
-        return max(txn.priority for txn in declarers)
+        return self._write_ceilings.get(oid)
 
     def absolute_ceiling(self, oid: int) -> Optional[float]:
         """Static absolute-priority ceiling (None if no active accessor)."""
-        declarers = self._accessors.get(oid)
-        if not declarers:
-            return None
-        return max(txn.priority for txn in declarers)
+        return self._absolute_ceilings.get(oid)
 
     def rw_ceiling(self, oid: int) -> Optional[float]:
         """Dynamic rw-priority ceiling of a *locked* object."""
         if self.locks.write_locked(oid):
-            return self.absolute_ceiling(oid)
-        return self.write_ceiling(oid)
+            return self._absolute_ceilings.get(oid)
+        return self._write_ceilings.get(oid)
 
-    def _barrier_entries(self) -> list:
-        """Sorted (-ceiling, table_seq, oid) over all locked oids with a
-        ceiling, rebuilt only when lock state or the active set changed.
+    def _barriers(self):
+        """(head, runner-up), each ``(ceiling, oid, holders, sole holder
+        or None)`` or None, memoized per lock-table version: the rw
+        selection changes only with the lock table, and the static
+        ceilings only with the active set, which drops the memo.
 
-        Both static ceilings depend solely on the registered
-        transactions' declared sets and (immutable) priorities, and the
-        rw selection solely on the lock table, so the
-        (table version, active-set version) pair fully keys the index.
-        Ordering parity with the historical per-request scan: that scan
-        kept the *first* oid in table-iteration order whose ceiling was
-        *strictly* greater than any before it — i.e. among the maximal
-        ceilings, the lowest table insertion seq — which is exactly the
-        head of this sort order once self-held-only entries are skipped.
+        The *head* is the locked object with the highest rw-ceiling; it
+        bars everyone but its sole holder, who is barred by the
+        *runner-up*: the best object not held by that holder alone.
+        One strictly-greater pass in lock-table insertion order finds
+        both, so ties go to the earliest-locked object.  ``holders`` is
+        the live table mapping.
         """
-        version = (self.locks.version, self._active_version)
-        if self._entries_version != version:
-            rw_ceiling = self.rw_ceiling
-            entries = []
-            for oid in self.locks.locked_oids():
-                ceiling = rw_ceiling(oid)
-                if ceiling is not None:
-                    entries.append(
-                        (-ceiling, self.locks.record_seq(oid), oid))
-            entries.sort()
-            self._entries = entries
-            self._entries_version = version
-        return self._entries
+        version = self.locks.version
+        if self._barriers_version == version:
+            return self._barriers_memo
+        head = runner_up = None
+        write_ceilings = self._write_ceilings
+        absolute_ceilings = self._absolute_ceilings
+        for oid, record in self.locks.records():
+            ceiling = (absolute_ceilings if record.writers
+                       else write_ceilings).get(oid)
+            if ceiling is None:
+                continue
+            holders = record.holders
+            sole = next(iter(holders)) if len(holders) == 1 else None
+            if head is None or ceiling > head[0]:
+                # The old head stays the best object for the new head's
+                # sole holder unless that holder held it alone too.
+                if head is not None and (sole is None
+                                         or head[3] is not sole):
+                    runner_up = head
+                head = (ceiling, oid, holders, sole)
+            elif (head[3] is not None and sole is not head[3]
+                  and (runner_up is None or ceiling > runner_up[0])):
+                runner_up = (ceiling, oid, holders, sole)
+        self._barriers_memo = (head, runner_up)
+        self._barriers_version = version
+        return self._barriers_memo
+
+    def _barrier(self, txn: Transaction):
+        """The barrier ``txn`` faces: the runner-up if it is the head's
+        sole holder, else the head (None: no barrier)."""
+        head, runner_up = self._barriers()
+        if head is not None and head[3] is txn:
+            return runner_up
+        return head
 
     def _ceiling_barrier(self, txn: Transaction):
         """(ceiling, oid) of the highest rw-ceiling among objects locked
         by transactions other than ``txn``; (None, None) if no such
         object or none of them has a ceiling."""
-        holder_map = self.locks.holder_map
-        for neg_ceiling, __, oid in self._barrier_entries():
-            for holder in holder_map(oid):
-                if holder is not txn:
-                    return -neg_ceiling, oid
-        return None, None
+        barrier = self._barrier(txn)
+        return (None, None) if barrier is None else barrier[:2]
 
     # ------------------------------------------------------------------
     # admission
@@ -185,8 +211,8 @@ class PriorityCeiling(ConcurrencyControl):
 
     def _can_acquire(self, txn: Transaction, oid: int,
                      mode: LockMode) -> bool:
-        barrier, __ = self._ceiling_barrier(txn)
-        if barrier is not None and txn.priority <= barrier:
+        barrier = self._barrier(txn)
+        if barrier is not None and txn.priority <= barrier[0]:
             return False
         # The ceiling test passed; the grant must be conflict-free.
         # A failure here is an implementation bug, never a run condition.
@@ -205,13 +231,16 @@ class PriorityCeiling(ConcurrencyControl):
         return sorted(self.waiting,
                       key=lambda r: (-r.txn.priority, r.seq))
 
+    def _blockers(self, request: Request):
+        """Live holders of ``request``'s barrier lock; the requester
+        may be among them."""
+        barrier = self._barrier(request.txn)
+        return () if barrier is None else barrier[2]
+
     def _blocking_holders(self, request: Request) -> List[Transaction]:
         """Holder(s) of the lock with the highest rw-ceiling — the
         transaction(s) 'blocking' this request in the protocol's sense."""
-        __, oid = self._ceiling_barrier(request.txn)
-        if oid is None:
-            return []
-        return [holder for holder in self.locks.holders(oid)
+        return [holder for holder in self._blockers(request)
                 if holder is not request.txn]
 
     def _trace_blockers(self, request: Request) -> List[Transaction]:
@@ -220,16 +249,6 @@ class PriorityCeiling(ConcurrencyControl):
         return self._blocking_holders(request)
 
     def _after_change(self) -> None:
-        # Same fixpoint structure as PI, but the inheritance edge goes to
-        # the holder of the highest-ceiling lock rather than to direct
-        # lock conflicters.
-        for __ in range(len(self.waiting) + 1):
-            contributions: dict = {}
-            for request in self.waiting:
-                waiter_priority = request.waiter_priority()
-                for holder in self._blocking_holders(request):
-                    current = contributions.get(holder)
-                    if current is None or current < waiter_priority:
-                        contributions[holder] = waiter_priority
-            if not self._apply_inheritance(contributions):
-                break
+        # The PI fixpoint, with the edge going to the holder(s) of each
+        # waiter's barrier lock rather than to direct conflicters.
+        self._inherit(self._blockers)

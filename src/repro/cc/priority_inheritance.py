@@ -23,19 +23,5 @@ class PriorityInheritance(TwoPhaseLockingPriority):
     name = "PI"
 
     def _after_change(self) -> None:
-        # Fixpoint over inheritance chains: a holder inherits the highest
-        # *effective* priority among waiters it blocks, and effective
-        # priorities feed forward (T3 holding what T2 needs inherits T1's
-        # priority when T1 blocks on T2).  Chains are bounded by the
-        # number of waiters, so the loop terminates.
-        for __ in range(len(self.waiting) + 1):
-            contributions: dict = {}
-            for request in self.waiting:
-                waiter_priority = request.waiter_priority()
-                for holder in self.locks.conflicting_holders(
-                        request.oid, request.txn, request.mode):
-                    current = contributions.get(holder)
-                    if current is None or current < waiter_priority:
-                        contributions[holder] = waiter_priority
-            if not self._apply_inheritance(contributions):
-                break
+        # Direct lock conflicters inherit from the waiters they block.
+        self._inherit(self._conflicters)

@@ -144,17 +144,7 @@ class FMLPQueueLock(TwoPhaseLocking):
 
     def _after_change(self) -> None:
         # The holder at the head of a contended FIFO queue inherits the
-        # highest effective priority queued behind it (same fixpoint
-        # structure as protocol PI), so a middle-priority transaction
-        # cannot preempt the holder while higher-priority work waits.
-        for __ in range(len(self.waiting) + 1):
-            contributions: dict = {}
-            for request in self.waiting:
-                waiter_priority = request.waiter_priority()
-                for holder in self.locks.conflicting_holders(
-                        request.oid, request.txn, request.mode):
-                    current = contributions.get(holder)
-                    if current is None or current < waiter_priority:
-                        contributions[holder] = waiter_priority
-            if not self._apply_inheritance(contributions):
-                break
+        # highest effective priority queued behind it (the PI rule), so
+        # a middle-priority transaction cannot preempt the holder while
+        # higher-priority work waits.
+        self._inherit(self._conflicters)

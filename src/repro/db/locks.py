@@ -12,10 +12,10 @@ Owners are opaque hashables (the transaction objects of
 :mod:`repro.txn.transaction`, but the table never looks inside them).
 
 Hot-path design: each locked object is a slotted :class:`_LockRecord`
-carrying a writer count (O(1) ``write_locked``) and an insertion
-sequence number.  ``version`` increments on every state transition, so
-protocol layers can cache derived views (the ceiling protocol's barrier
-index) and invalidate with a single integer compare.
+carrying a writer count (O(1) ``write_locked``).  ``version``
+increments on every state transition, so protocol layers can cache
+derived views (the ceiling protocol's barrier head) and invalidate with
+a single integer compare.
 """
 
 from __future__ import annotations
@@ -49,17 +49,14 @@ class _LockRecord:
 
     ``writers`` counts WRITE-mode holders (0 or 1 under two-mode
     compatibility, but counted rather than flagged so release never has
-    to rescan).  ``seq`` is the order the object entered the table —
-    protocol layers use it to reproduce table-iteration tie-breaks
-    without iterating.
+    to rescan).
     """
 
-    __slots__ = ("holders", "writers", "seq")
+    __slots__ = ("holders", "writers")
 
-    def __init__(self, seq: int) -> None:
+    def __init__(self) -> None:
         self.holders: Dict[Hashable, LockMode] = {}
         self.writers = 0
-        self.seq = seq
 
 
 _EMPTY: Dict[Hashable, LockMode] = {}
@@ -80,7 +77,6 @@ class LockTable:
         self._records: Dict[int, _LockRecord] = {}
         #: owner -> set of oids it holds (reverse index)
         self._held_by: Dict[Hashable, Set[int]] = {}
-        self._seq = 0
         #: Bumped on every grant/release; cache-invalidation stamp for
         #: derived views held by protocol layers.
         self.version = 0
@@ -118,10 +114,11 @@ class LockTable:
         record = self._records.get(oid)
         return record is not None and record.writers > 0
 
-    def record_seq(self, oid: int) -> Optional[int]:
-        """Insertion order of a locked oid (None if unlocked)."""
-        record = self._records.get(oid)
-        return record.seq if record is not None else None
+    def records(self):
+        """Live ``(oid, record)`` pairs (``record.holders``,
+        ``record.writers``) in lock-insertion order; read-only, like
+        :meth:`holder_map`, and not valid across transitions."""
+        return self._records.items()
 
     def locks_of(self, owner: Hashable) -> Dict[int, LockMode]:
         """All locks held by ``owner`` as {oid: mode}."""
@@ -179,9 +176,7 @@ class LockTable:
                 f"{self.holders(oid)}")
         record = self._records.get(oid)
         if record is None:
-            record = _LockRecord(self._seq)
-            self._seq += 1
-            self._records[oid] = record
+            record = self._records[oid] = _LockRecord()
         holders = record.holders
         held = holders.get(owner)
         if held is LockMode.WRITE:

@@ -67,7 +67,7 @@ class Port:
             process.blocker = blocker
             return BLOCKED
 
-        return Call(attempt, label=f"send_sync({self.name})")
+        return Call(attempt)
 
     # ------------------------------------------------------------------
     # receiving
@@ -95,7 +95,7 @@ class Port:
             process.blocker = blocker
             return BLOCKED
 
-        return Call(attempt, label=f"receive({self.name})")
+        return Call(attempt)
 
     def drain(self) -> list:
         """Remove and return every buffered (undelivered) message.

@@ -56,7 +56,7 @@ class Semaphore:
             process.blocker = blocker
             return BLOCKED
 
-        return Call(attempt, label=f"wait({self.name})")
+        return Call(attempt)
 
     def signal(self) -> None:
         """V operation: wake one waiter or increment the count."""

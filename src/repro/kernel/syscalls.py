@@ -148,11 +148,10 @@ class Call(SysCall):
     and lock managers use to implement their own blocking behaviour.
     """
 
-    __slots__ = ("fn", "label")
+    __slots__ = ("fn",)
 
-    def __init__(self, fn: Callable, label: str = "call"):
+    def __init__(self, fn: Callable):
         self.fn = fn
-        self.label = label
 
     def apply(self, kernel, process):
         outcome = self.fn(kernel, process)

@@ -95,7 +95,7 @@ class CPU:
             self._reschedule()
             return BLOCKED
 
-        return Call(attempt, label=f"cpu({self.name})")
+        return Call(attempt)
 
     @property
     def load(self) -> int:

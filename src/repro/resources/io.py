@@ -49,7 +49,7 @@ class ParallelIO:
             process.blocker = blocker
             return BLOCKED
 
-        return Call(attempt, label=f"io({self.name})")
+        return Call(attempt)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ParallelIO({self.name!r}, requests={self.requests})"
@@ -104,7 +104,7 @@ class DiskArray:
                 self._queue.push(process, (blocker, amount))
             return BLOCKED
 
-        return Call(attempt, label=f"disk({self.name})")
+        return Call(attempt)
 
     def _start(self, process: Process, amount: float) -> None:
         blocker = process.blocker

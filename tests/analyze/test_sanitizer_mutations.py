@@ -225,6 +225,64 @@ def test_secondary_originated_update_is_detected(san):
 
 
 # ----------------------------------------------------------------------
+# SAN-CC-LEDGER — the request counters stop balancing
+# ----------------------------------------------------------------------
+def test_lost_block_count_is_detected(kernel, san, monkeypatch):
+    # Mutation: every block is counted and then taken back, so
+    # ``blocks`` falls behind the blocks the checker saw.
+    def lose_count(self, request):
+        self.stats.blocks -= 1
+
+    monkeypatch.setattr(PriorityCeiling, "_on_block", lose_count)
+    cc = PriorityCeiling(kernel)
+    holder = make_txn([(1, "w")], priority=9)
+    waiter = make_txn([(1, "w")], priority=5)
+    LockClient(kernel, cc, holder, hold=5.0)
+    LockClient(kernel, cc, waiter, start_delay=1.0)
+    kernel.run()
+    assert only_codes(san) == ["SAN-CC-LEDGER"]
+    violations = [v for v in san.violations if v.code == "SAN-CC-LEDGER"]
+    assert len(violations) == 1  # reported once, not per deregister
+    assert violations[0].txn == holder.tid  # first to leave
+    assert "blocks 0 != 1 observed" in violations[0].message
+    assert "requests 2 != 1 immediate_grants + blocks" in (
+        violations[0].message)
+
+
+def test_waited_grant_counted_as_immediate_is_detected(kernel, san,
+                                                       monkeypatch):
+    # Mutation: a grant after waiting also bumps ``immediate_grants``.
+    original = TwoPhaseLocking._grant_waiter
+
+    def miscount(self, request):
+        self.stats.immediate_grants += 1
+        original(self, request)
+
+    monkeypatch.setattr(TwoPhaseLocking, "_grant_waiter", miscount)
+    cc = TwoPhaseLocking(kernel)
+    first = make_txn([(1, "w")], priority=5)
+    second = make_txn([(1, "w")], priority=5)
+    LockClient(kernel, cc, first, hold=5.0)
+    LockClient(kernel, cc, second, start_delay=1.0)
+    kernel.run()
+    assert only_codes(san) == ["SAN-CC-LEDGER"]
+    violation = san.violations[0]
+    assert violation.protocol == "L"
+    assert "immediate_grants 2 != 1 observed" in violation.message
+
+
+def test_balanced_ledger_is_clean(kernel, san):
+    cc = PriorityCeiling(kernel)
+    holder = make_txn([(1, "w")], priority=9)
+    waiter = make_txn([(1, "w"), (2, "r")], priority=5)
+    LockClient(kernel, cc, holder, hold=5.0)
+    LockClient(kernel, cc, waiter, start_delay=1.0)
+    kernel.run()
+    assert cc.stats.blocks == 1 and cc.stats.immediate_grants == 2
+    assert san.clean
+
+
+# ----------------------------------------------------------------------
 # strict mode raises, record mode collects
 # ----------------------------------------------------------------------
 def test_strict_mode_raises_on_first_violation(kernel):

@@ -210,3 +210,101 @@ def test_subsumption_assertion_never_fires_in_random_scenarios(kernel):
     assert all(client.finished for client in clients)
     assert len(cc.locks) == 0
     assert cc.waiting_count == 0
+
+
+# ----------------------------------------------------------------------
+# barrier memo: invalidation and the runner-up
+# ----------------------------------------------------------------------
+def test_upgrade_raises_rw_ceiling_seen_by_next_admission(kernel):
+    cc = PriorityCeiling(kernel)
+    upgrader = make_txn([(1, "r"), (1, "w")], priority=3)
+    reader = make_txn([(1, "r")], priority=7)
+    probe = make_txn([(2, "w")], priority=5)
+    for txn in (upgrader, reader, probe):
+        cc.register(txn)
+    cc.locks.grant(1, upgrader, LockMode.READ)
+    # Read-locked: rw ceiling = write ceiling = 3 < 5.
+    assert cc._ceiling_barrier(probe) == (3.0, 1)
+    assert cc._can_acquire(probe, 2, LockMode.WRITE)
+    cc.locks.grant(1, upgrader, LockMode.WRITE)
+    # Write-locked: rw ceiling = absolute ceiling = 7 >= 5.
+    assert cc._ceiling_barrier(probe) == (7.0, 1)
+    assert not cc._can_acquire(probe, 2, LockMode.WRITE)
+
+
+def test_register_raises_locked_ceiling_seen_by_next_admission(kernel):
+    cc = PriorityCeiling(kernel)
+    holder = make_txn([(1, "w")], priority=2)
+    probe = make_txn([(2, "w")], priority=5)
+    late = make_txn([(1, "r")], priority=8)
+    cc.register(holder)
+    cc.register(probe)
+    cc.locks.grant(1, holder, LockMode.WRITE)
+    assert cc._can_acquire(probe, 2, LockMode.WRITE)
+    cc.register(late)  # a new accessor of the locked object
+    assert cc.absolute_ceiling(1) == 8
+    assert cc._ceiling_barrier(probe) == (8.0, 1)
+    assert not cc._can_acquire(probe, 2, LockMode.WRITE)
+
+
+def test_deregister_of_max_declarer_lowers_ceiling(kernel):
+    cc = PriorityCeiling(kernel)
+    holder = make_txn([(1, "w")], priority=2)
+    probe = make_txn([(2, "w")], priority=5)
+    tied = make_txn([(1, "r")], priority=6)
+    top = make_txn([(1, "r")], priority=9)
+    for txn in (holder, probe, tied, top):
+        cc.register(txn)
+    cc.locks.grant(1, holder, LockMode.WRITE)
+    assert cc._ceiling_barrier(probe) == (9.0, 1)
+    cc.deregister(top)  # the max declarer leaves: recompute to 6
+    assert cc.absolute_ceiling(1) == 6
+    assert cc._ceiling_barrier(probe) == (6.0, 1)
+    assert not cc._can_acquire(probe, 2, LockMode.WRITE)
+    cc.deregister(tied)
+    assert cc._ceiling_barrier(probe) == (2.0, 1)
+    assert cc._can_acquire(probe, 2, LockMode.WRITE)
+
+
+def test_sole_holder_of_head_sees_runner_up(kernel):
+    cc = PriorityCeiling(kernel)
+    top = make_txn([(1, "w"), (3, "w")], priority=9)
+    low = make_txn([(2, "w")], priority=4)
+    reader = make_txn([(1, "r")], priority=1)
+    for txn in (top, low, reader):
+        cc.register(txn)
+    cc.locks.grant(1, top, LockMode.WRITE)   # head: ceiling 9
+    cc.locks.grant(2, low, LockMode.WRITE)   # runner-up: ceiling 4
+    assert cc._ceiling_barrier(low) == (9.0, 1)
+    assert cc._ceiling_barrier(reader) == (9.0, 1)
+    # The head's sole holder is barred only by the runner-up.
+    assert cc._ceiling_barrier(top) == (4.0, 2)
+    assert cc._can_acquire(top, 3, LockMode.WRITE)
+    cc.locks.release_all(low)
+    assert cc._ceiling_barrier(top) == (None, None)
+    # A co-holder of the head is barred by the head itself.
+    cc.locks.release_all(top)
+    cc.locks.grant(1, top, LockMode.READ)
+    cc.locks.grant(1, reader, LockMode.READ)
+    assert cc._ceiling_barrier(top) == (9.0, 1)
+    assert not cc._can_acquire(top, 3, LockMode.WRITE)
+
+
+def test_barrier_ties_go_to_the_earliest_locked_object(kernel):
+    cc = PriorityCeiling(kernel)
+    top = make_txn([(1, "w")], priority=9)
+    first = make_txn([(2, "w")], priority=5)
+    second = make_txn([(3, "w")], priority=5)
+    probe = make_txn([(4, "w")], priority=1)
+    for txn in (top, first, second, probe):
+        cc.register(txn)
+    for oid, owner in ((1, top), (3, second), (2, first)):
+        cc.locks.grant(oid, owner, LockMode.WRITE)
+    assert cc._ceiling_barrier(probe) == (9.0, 1)
+    # Runner-up tie between objects 3 and 2: 3 was locked first.
+    assert cc._ceiling_barrier(top) == (5.0, 3)
+    cc.locks.release_all(top)
+    # Head tie: object 3 leads; its sole holder sees object 2.
+    assert cc._ceiling_barrier(probe) == (5.0, 3)
+    assert cc._ceiling_barrier(second) == (5.0, 2)
+    assert cc._ceiling_barrier(first) == (5.0, 3)
