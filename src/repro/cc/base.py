@@ -15,8 +15,10 @@ ceiling) shares this skeleton:
   declared access sets of registered transactions).
 
 Subclasses implement ``_can_acquire`` (the admission test),
-``_grant_order`` (which waiters to reconsider, in what order) and
-``_after_change`` (inheritance bookkeeping, deadlock detection).
+``_grant_order`` (which waiters to reconsider, in what order) or
+``_next_grant`` (the next waiter to admit, when the protocol can find it
+without testing every waiter) and ``_after_change`` (inheritance
+bookkeeping, deadlock detection).
 """
 
 from __future__ import annotations
@@ -305,6 +307,14 @@ class ConcurrencyControl:
         """Waiters in the order they should be reconsidered."""
         raise NotImplementedError
 
+    def _next_grant(self) -> Optional[Request]:
+        """The waiter to grant next: the first admissible one in
+        :meth:`_grant_order`, or None."""
+        for request in self._grant_order():
+            if self._can_acquire(request.txn, request.oid, request.mode):
+                return request
+        return None
+
     def _after_change(self) -> None:
         """Called whenever lock state or the wait set changed, after all
         grants were issued (inheritance recomputation hook)."""
@@ -313,17 +323,13 @@ class ConcurrencyControl:
     # shared machinery
     # ------------------------------------------------------------------
     def _reevaluate(self) -> None:
-        """Grant every waiter that is now admissible, then let the
-        protocol update inheritance."""
-        progress = True
-        while progress:
-            progress = False
-            for request in list(self._grant_order()):
-                if self._can_acquire(request.txn, request.oid,
-                                     request.mode):
-                    self._grant_waiter(request)
-                    progress = True
-                    break  # state changed: recompute the order
+        """Grant every waiter that is now admissible, one at a time
+        (each grant changes the state the next choice depends on), then
+        let the protocol update inheritance."""
+        request = self._next_grant()
+        while request is not None:
+            self._grant_waiter(request)
+            request = self._next_grant()
         self._after_change()
 
     def _grant_waiter(self, request: Request) -> None:
@@ -371,32 +377,41 @@ class ConcurrencyControl:
     # ------------------------------------------------------------------
     # inheritance plumbing shared by PI, FMLP and ceiling protocols
     # ------------------------------------------------------------------
-    def _inherit(self, blockers) -> None:
+    def _inherit(self, contributions) -> None:
         """Inheritance fixpoint: each holder inherits the highest
         *effective* priority among the waiters it blocks, and effective
         priorities feed forward (T3 holding what T2 needs inherits T1's
-        priority when T1 blocks on T2).  ``blockers(request)`` gives the
-        holders blocking a waiter; the requester itself is skipped among
-        them.  Chains are bounded by the number of waiters, so W + 1
-        passes suffice.  Contributions are inserted in waiter order,
-        then holder order — the order :meth:`_apply_inheritance`
-        applies them in.
+        priority when T1 blocks on T2).  ``contributions()`` computes
+        one pass as {holder: priority}, in the order
+        :meth:`_apply_inheritance` applies them.  Chains are bounded by
+        the number of waiters, so W + 1 passes suffice.
         """
         for __ in range(len(self.waiting) + 1):
-            contributions: dict = {}
-            for request in self.waiting:
-                holders = blockers(request)
-                if not holders:
-                    continue
-                txn = request.txn
-                waiter_priority = request.waiter_priority()
-                for holder in holders:
-                    if holder is not txn:
-                        current = contributions.get(holder)
-                        if current is None or current < waiter_priority:
-                            contributions[holder] = waiter_priority
-            if not self._apply_inheritance(contributions):
+            if not self._apply_inheritance(contributions()):
                 break
+
+    def _scan_contributions(self, blockers) -> dict:
+        """One inheritance pass by a scan of every waiter:
+        ``blockers(request)`` gives the holders blocking a waiter (the
+        requester itself is skipped among them).  Contributions are
+        inserted in waiter order, then holder order."""
+        contributions: dict = {}
+        for request in self.waiting:
+            holders = blockers(request)
+            if not holders:
+                continue
+            txn = request.txn
+            waiter_priority = request.waiter_priority()
+            for holder in holders:
+                if holder is not txn:
+                    current = contributions.get(holder)
+                    if current is None or current < waiter_priority:
+                        contributions[holder] = waiter_priority
+        return contributions
+
+    def _conflict_contributions(self) -> dict:
+        """One pass of the PI rule: direct conflicters inherit."""
+        return self._scan_contributions(self._conflicters)
 
     def _conflicters(self, request: Request) -> List[Transaction]:
         """Holders whose mode conflicts with ``request`` (PI's edges)."""
@@ -416,23 +431,26 @@ class ConcurrencyControl:
         for txn in list(self._inheriting):
             if txn not in contributions:
                 self._inheriting.discard(txn)
-                if txn.process is not None and not txn.process.terminated:
-                    if txn.process.inherited_priority is not None:
-                        changed = True
-                        if self.tracer is not None:
-                            self.tracer.priority_restore(
-                                self.kernel.now, txn)
-                    self.kernel.set_inherited_priority(txn.process, None)
+                process = txn.process
+                if (process is not None and not process.terminated
+                        and process.inherited_priority is not None):
+                    changed = True
+                    if self.tracer is not None:
+                        self.tracer.priority_restore(self.kernel.now, txn)
+                    self.kernel.set_inherited_priority(process, None)
         for txn, priority in contributions.items():
-            if txn.process is None or txn.process.terminated:
+            process = txn.process
+            if process is None or process.terminated:
                 continue
-            if txn.process.inherited_priority != priority:
+            # Setting the value a process already carries changes no
+            # effective priority, so it is skipped: no poke is lost.
+            if process.inherited_priority != priority:
                 self.stats.inheritance_events += 1
                 changed = True
                 if self.tracer is not None:
                     self.tracer.priority_inherit(self.kernel.now, txn,
                                                  priority)
-            self.kernel.set_inherited_priority(txn.process, priority)
+                self.kernel.set_inherited_priority(process, priority)
             self._inheriting.add(txn)
         return changed
 

@@ -41,3 +41,9 @@ class DistributedPriorityCeiling(PriorityCeiling):
 
     def __init__(self, kernel):
         super().__init__(kernel, exclusive_only=False)
+
+    def _contributions(self) -> dict:
+        # Agents share the transactions' processes, so a waiter here
+        # may carry priority inherited at another agent: the closed
+        # form's second invariant does not hold, so scan every waiter.
+        return self._scan_contributions(self._blockers)

@@ -38,6 +38,7 @@ the absolute ceiling.
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, List, Optional, Set
 
 from ..db.locks import LockError, LockMode
@@ -70,6 +71,13 @@ class PriorityCeiling(ConcurrencyControl):
         #: see _barriers.
         self._barriers_memo = (None, None)
         self._barriers_version = -1
+        #: Waiters in grant order, as (-txn.priority, seq, request)
+        #: kept sorted by insertion: priorities are fixed and seqs
+        #: unique, so requests are never compared.
+        self._grant_queue: List[tuple] = []
+        #: txn -> its waiting requests in enqueue order (an async
+        #: requester may wait on several objects).
+        self._waiting_by_txn: Dict[Transaction, List[Request]] = {}
 
     # ------------------------------------------------------------------
     # active set maintenance (drives the static ceilings)
@@ -225,11 +233,43 @@ class PriorityCeiling(ConcurrencyControl):
         return True
 
     # ------------------------------------------------------------------
-    # wakeup order and inheritance
+    # wait queue, wakeup order and inheritance
     # ------------------------------------------------------------------
-    def _grant_order(self) -> List[Request]:
-        return sorted(self.waiting,
-                      key=lambda r: (-r.txn.priority, r.seq))
+    def _enqueue(self, request: Request) -> None:
+        super()._enqueue(request)
+        bisect.insort(self._grant_queue,
+                      (-request.txn.priority, request.seq, request))
+        self._waiting_by_txn.setdefault(request.txn, []).append(request)
+
+    def _dequeue(self, request: Request) -> None:
+        super()._dequeue(request)
+        queue = self._grant_queue
+        del queue[bisect.bisect_left(queue, (-request.txn.priority,
+                                             request.seq))]
+        requests = self._waiting_by_txn[request.txn]
+        requests.remove(request)
+        if not requests:
+            del self._waiting_by_txn[request.txn]
+
+    def _next_grant(self) -> Optional[Request]:
+        """The first admissible waiter in (-priority, seq) order.
+
+        Every waiter but the barrier head's sole holder S faces the
+        head, and S's requests face the runner-up, whose ceiling is no
+        higher.  So when the first waiter in that order fails, every
+        later waiter fails too, except S's own requests."""
+        queue = self._grant_queue
+        if not queue:
+            return None
+        can_acquire = self._can_acquire
+        request = queue[0][2]
+        if can_acquire(request.txn, request.oid, request.mode):
+            return request
+        head, __ = self._barriers()
+        for request in self._waiting_by_txn.get(head[3], ()):
+            if can_acquire(request.txn, request.oid, request.mode):
+                return request
+        return None
 
     def _blockers(self, request: Request):
         """Live holders of ``request``'s barrier lock; the requester
@@ -251,4 +291,82 @@ class PriorityCeiling(ConcurrencyControl):
     def _after_change(self) -> None:
         # The PI fixpoint, with the edge going to the holder(s) of each
         # waiter's barrier lock rather than to direct conflicters.
-        self._inherit(self._blockers)
+        self._inherit(self._contributions)
+
+    def _contributions(self) -> dict:
+        """One inheritance pass in closed form, from the barrier head
+        and runner-up rather than a scan of every waiter.
+
+        Every waiter but the head's sole holder S faces the head, and
+        S's requests face the runner-up.  So with a sole holder, S
+        inherits the highest priority among the other waiters, and the
+        runner-up's holders other than S the highest among S's own
+        requests.  On a co-held head each holder h inherits the highest
+        priority among the waiters other than h.
+
+        The highest waiter priority is found by :meth:`_top_priority`
+        from the grant queue, which is exact under two invariants:
+
+        - every waiter's process has ``base_priority == txn.priority``;
+        - only this manager's :meth:`_apply_inheritance` sets inherited
+          priority on a waiter's process.
+
+        Keys are inserted in the order the per-waiter scan
+        (:meth:`_scan_contributions` over :meth:`_blockers`) inserts
+        them, which follows from the first waiter in the wait list: S's
+        key goes first unless that waiter is S, and on a co-held head a
+        holder that is that waiter goes last.
+        """
+        contributions: dict = {}
+        head, runner_up = self._barriers()
+        if head is None or not self.waiting:
+            return contributions
+        first = self.waiting[0].txn
+        sole = head[3]
+        if sole is None:
+            for holder in head[2]:
+                if holder is not first:
+                    contributions[holder] = self._top_priority(holder)
+            if first in head[2]:
+                top = self._top_priority(first)
+                if top is not None:
+                    contributions[first] = top
+            return contributions
+        top = self._top_priority(sole)
+        if first is not sole:
+            contributions[sole] = top
+        own = None
+        for request in self._waiting_by_txn.get(sole, ()):
+            priority = request.waiter_priority()
+            if own is None or own < priority:
+                own = priority
+        if own is not None and runner_up is not None:
+            for holder in runner_up[2]:
+                if holder is not sole:
+                    contributions[holder] = own
+        if first is sole and top is not None:
+            contributions[sole] = top
+        return contributions
+
+    def _top_priority(self, excluded: Transaction) -> Optional[float]:
+        """Highest effective priority among waiters of transactions
+        other than ``excluded`` (None: there are none).
+
+        By the invariants in :meth:`_contributions`, a waiter whose
+        transaction does not inherit from this manager has effective
+        priority ``txn.priority``, its grant-queue key.  So the answer
+        is the first grant-queue entry of another transaction, unless
+        a waiter whose transaction is in ``_inheriting`` beats it."""
+        best = None
+        for __, __, request in self._grant_queue:
+            if request.txn is not excluded:
+                best = request.waiter_priority()
+                break
+        waiting_by_txn = self._waiting_by_txn
+        for txn in self._inheriting:
+            if txn is not excluded and txn in waiting_by_txn:
+                for request in waiting_by_txn[txn]:
+                    priority = request.waiter_priority()
+                    if best is None or best < priority:
+                        best = priority
+        return best

@@ -24,4 +24,4 @@ class PriorityInheritance(TwoPhaseLockingPriority):
 
     def _after_change(self) -> None:
         # Direct lock conflicters inherit from the waiters they block.
-        self._inherit(self._conflicters)
+        self._inherit(self._conflict_contributions)

@@ -147,4 +147,4 @@ class FMLPQueueLock(TwoPhaseLocking):
         # highest effective priority queued behind it (the PI rule), so
         # a middle-priority transaction cannot preempt the holder while
         # higher-priority work waits.
-        self._inherit(self._conflicters)
+        self._inherit(self._conflict_contributions)

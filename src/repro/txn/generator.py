@@ -96,6 +96,9 @@ class WorkloadGenerator:
         self.n_sites = n_sites
         self.catalog = catalog
         self._prefix = stream_prefix
+        #: Every oid, in order: the single-site write pool and the
+        #: list each update's read pool is copied from.
+        self._all_oids = list(range(db_size))
         if catalog is not None and catalog.n_sites != n_sites:
             raise ValueError(
                 f"catalog has {catalog.n_sites} sites, generator expects "
@@ -135,18 +138,22 @@ class WorkloadGenerator:
             write_pool = self.catalog.primaries_at(site)
         else:
             site = 0
-            write_pool = list(range(self.db_size))
+            write_pool = self._all_oids
         n_writes = max(1, round(self.write_fraction * size))
         n_writes = min(n_writes, size, len(write_pool))
         n_reads = size - n_writes
         write_oids = self.rng.sample(f"{self._prefix}.objects",
                                      write_pool, n_writes)
-        written = set(write_oids)
-        read_pool = [oid for oid in range(self.db_size)
-                     if oid not in written]
-        read_oids = (self.rng.sample(f"{self._prefix}.objects",
-                                     read_pool, n_reads)
-                     if n_reads > 0 else [])
+        read_oids = []
+        if n_reads > 0:
+            # The oids not written, in order: entry i of _all_oids is i,
+            # so deleting written oids from the back keeps the indexes
+            # valid.
+            read_pool = self._all_oids.copy()
+            for oid in sorted(write_oids, reverse=True):
+                del read_pool[oid]
+            read_oids = self.rng.sample(f"{self._prefix}.objects",
+                                        read_pool, n_reads)
         operations = ([(oid, LockMode.WRITE) for oid in write_oids] +
                       [(oid, LockMode.READ) for oid in read_oids])
         # Access order is random (sample order is already random for the

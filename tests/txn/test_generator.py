@@ -162,3 +162,68 @@ def test_merge_schedules_orders_by_arrival():
          TransactionSpec(10.0, ((2, LockMode.READ),))]
     merged = merge_schedules(a, b)
     assert [spec.arrival for spec in merged] == [1.0, 5.0, 10.0, 15.0]
+
+
+class ListComprehensionPools(WorkloadGenerator):
+    """Reference: update transactions' pools built as they were before
+    the shared oid list (a fresh write pool per single-site update, the
+    read pool by a comprehension over the whole database)."""
+
+    def _one(self, index, arrival):
+        read_only = (self.rng.random(f"{self._prefix}.mix")
+                     < self.read_only_fraction)
+        size = self._draw_size()
+        if read_only:
+            site = (self.rng.randint(f"{self._prefix}.site", 0,
+                                     self.n_sites - 1)
+                    if self.n_sites > 1 else 0)
+            oids = self.rng.sample(f"{self._prefix}.objects",
+                                   range(self.db_size), size)
+            return TransactionSpec(arrival, tuple((oid, LockMode.READ)
+                                                  for oid in oids),
+                                   site, TransactionType.READ_ONLY)
+        if self.catalog is not None:
+            site = self.rng.randint(f"{self._prefix}.site", 0,
+                                    self.n_sites - 1)
+            write_pool = self.catalog.primaries_at(site)
+        else:
+            site = 0
+            write_pool = list(range(self.db_size))
+        n_writes = max(1, round(self.write_fraction * size))
+        n_writes = min(n_writes, size, len(write_pool))
+        write_oids = self.rng.sample(f"{self._prefix}.objects",
+                                     write_pool, n_writes)
+        written = set(write_oids)
+        read_pool = [oid for oid in range(self.db_size)
+                     if oid not in written]
+        n_reads = size - n_writes
+        read_oids = (self.rng.sample(f"{self._prefix}.objects",
+                                     read_pool, n_reads)
+                     if n_reads > 0 else [])
+        operations = ([(oid, LockMode.WRITE) for oid in write_oids] +
+                      [(oid, LockMode.READ) for oid in read_oids])
+        self.rng.stream(f"{self._prefix}.order").shuffle(operations)
+        return TransactionSpec(arrival, tuple(operations), site,
+                               TransactionType.UPDATE)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7, 1001])
+@pytest.mark.parametrize("n_sites", [1, 3])
+@pytest.mark.parametrize("write_fraction", [0.5, 1.0])
+def test_shared_oid_list_draws_the_same_workload(seed, n_sites,
+                                                 write_fraction):
+    options = dict(db_size=90, n_transactions=200, transaction_size=6,
+                   size_jitter=3, read_only_fraction=0.3,
+                   write_fraction=write_fraction, n_sites=n_sites,
+                   catalog=(ReplicaCatalog(db_size=90, n_sites=n_sites)
+                            if n_sites > 1 else None))
+    specs = WorkloadGenerator(rng=RngStreams(seed), mean_interarrival=5.0,
+                              **options).generate()
+    reference = ListComprehensionPools(
+        rng=RngStreams(seed), mean_interarrival=5.0,
+        **options).generate()
+    assert specs == reference
+    assert any(spec.txn_type is TransactionType.UPDATE
+               and any(mode is LockMode.READ
+                       for __, mode in spec.operations)
+               for spec in specs) is (write_fraction < 1.0)
