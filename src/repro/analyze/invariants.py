@@ -30,7 +30,8 @@ Invariant codes reported (see DESIGN.md for the paper references):
 - ``SAN-PCP-BLOCK``   — a transaction blocked with neither a ceiling
   barrier nor a direct conflict justifying it;
 - ``SAN-PCP-ONCE``    — a transaction ceiling-blocked by lower-priority
-  holders more than once within one stable active set;
+  holders more than once within one stable active set (a request made
+  while another of its requests still waits is no new episode);
 - ``SAN-PCP-DEADLOCK``— a direct lock-conflict wait cycle under the
   (deadlock-free by construction) priority ceiling protocol; ceiling
   barriers are excluded from the graph because dynamic ceilings can
@@ -47,7 +48,7 @@ Invariant codes reported (see DESIGN.md for the paper references):
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,7 +179,9 @@ class ProtocolChecker:
                 f"('no lock after unlock') is broken",
                 txn=txn, oid=oid)
             self._shrunk.discard(txn)  # report once per offence
-        self._check_race(oid)
+        if self.cc.locks.observer is not self:
+            # Otherwise on_table_grant already checked this grant.
+            self._check_race(oid)
 
     def on_release_all(self, txn, freed) -> None:
         if freed:
@@ -268,47 +271,48 @@ class CeilingChecker(ProtocolChecker):
         self._active: Set[Any] = set()
         #: Ceiling-blocking episodes per txn within the current epoch.
         self._episodes: Dict[Any, int] = {}
+        #: (oid, write-held) -> static rw-ceiling within the current
+        #: epoch.  A ceiling depends only on ``_active`` and on
+        #: priorities fixed at transaction construction, so the table
+        #: is cleared exactly where ``_active`` changes.
+        self._ceilings: Dict[Tuple[int, bool], Optional[float]] = {}
 
     # -- independent ceiling computation ---------------------------------
-    def _declared_write(self, txn) -> frozenset:
-        if getattr(self.cc, "exclusive_only", False):
-            return txn.access_set
-        return txn.write_set
-
-    def _write_ceiling(self, oid: int) -> Optional[float]:
-        priorities = [txn.priority for txn in self._active
-                      if oid in self._declared_write(txn)]
-        return max(priorities) if priorities else None
-
-    def _absolute_ceiling(self, oid: int) -> Optional[float]:
-        priorities = [txn.priority for txn in self._active
-                      if oid in txn.access_set]
-        return max(priorities) if priorities else None
-
-    def _rw_ceiling(self, oid: int) -> Optional[float]:
-        holders = self.cc.locks.holders(oid)
-        if any(_is_write(mode) for mode in holders.values()):
-            return self._absolute_ceiling(oid)
-        return self._write_ceiling(oid)
+    def _rw_ceiling(self, oid: int, write_held: bool) -> Optional[float]:
+        """Absolute ceiling of a write-held object, else its write
+        ceiling: the highest priority among active transactions that
+        declared any access (resp. a write) to it.  Under
+        ``exclusive_only`` every declared access counts as a write."""
+        key = (oid, write_held)
+        if key in self._ceilings:
+            return self._ceilings[key]
+        if write_held or getattr(self.cc, "exclusive_only", False):
+            priorities = [txn.priority for txn in self._active
+                          if oid in txn.access_set]
+        else:
+            priorities = [txn.priority for txn in self._active
+                          if oid in txn.write_set]
+        ceiling = max(priorities) if priorities else None
+        self._ceilings[key] = ceiling
+        return ceiling
 
     def _barrier(self, txn):
         """(ceiling, oid, holders) of the highest rw-ceiling among
         objects locked by transactions other than ``txn``."""
+        locks = self.cc.locks
         best = best_oid = None
-        for oid in list(self.cc.locks.locked_oids()):
-            holders = self.cc.locks.holders(oid)
-            if not any(holder is not txn for holder in holders):
-                continue
-            ceiling = self._rw_ceiling(oid)
+        best_holders: Mapping[Any, Any] = {}
+        for oid in locks.locked_oids():
+            holders = locks.holder_map(oid)
+            if len(holders) == 1 and txn in holders:
+                continue  # locked by txn alone
+            ceiling = self._rw_ceiling(
+                oid, any(_is_write(mode) for mode in holders.values()))
             if ceiling is None:
                 continue
             if best is None or ceiling > best:
-                best, best_oid = ceiling, oid
-        if best_oid is None:
-            return None, None, []
-        blocking = [holder
-                    for holder in self.cc.locks.holders(best_oid)
-                    if holder is not txn]
+                best, best_oid, best_holders = ceiling, oid, holders
+        blocking = [holder for holder in best_holders if holder is not txn]
         return best, best_oid, blocking
 
     def _conflicters(self, txn, oid: int, mode) -> List[object]:
@@ -322,11 +326,13 @@ class CeilingChecker(ProtocolChecker):
         # The active set changed, so the static ceilings changed: the
         # blocked-at-most-once bound is only claimed within one epoch.
         self._episodes.clear()
+        self._ceilings.clear()
 
     def on_deregister(self, txn) -> None:
         super().on_deregister(txn)
         self._active.discard(txn)
         self._episodes.clear()
+        self._ceilings.clear()
 
     def on_grant(self, txn, oid: int, mode, waited: bool) -> None:
         super().on_grant(txn, oid, mode, waited)
@@ -354,8 +360,9 @@ class CeilingChecker(ProtocolChecker):
                 txn=txn, oid=oid)
             return
         blockers = blocking if ceiling_blocked else conflicters
-        if blockers and all(holder.priority < txn.priority
-                            for holder in blockers):
+        if (blockers and all(holder.priority < txn.priority
+                             for holder in blockers)
+                and not self._already_waiting(txn)):
             count = self._episodes.get(txn, 0) + 1
             self._episodes[txn] = count
             if count > 1:
@@ -368,6 +375,14 @@ class CeilingChecker(ProtocolChecker):
                     f"— PCP bounds blocking to one critical section",
                     txn=txn, oid=oid)
         self._check_deadlock(txn)
+
+    def _already_waiting(self, txn) -> bool:
+        """True if another request of ``txn`` still waits.  Only the
+        server-mode (async) path can wait on several objects at once;
+        such waits overlap the one already under way, so they add no
+        blocking episode."""
+        return sum(request.txn is txn
+                   for request in getattr(self.cc, "waiting", ())) > 1
 
     # -- deadlock freedom ------------------------------------------------
     def _check_deadlock(self, txn) -> None:

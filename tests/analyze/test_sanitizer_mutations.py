@@ -101,6 +101,22 @@ def test_repeated_ceiling_blocking_is_detected(kernel, san):
     assert violation.oid == 1
 
 
+def test_concurrent_async_waits_are_one_episode(kernel, san):
+    # Not a mutation: the server-mode path may wait on several objects
+    # at once.  Both waits sit out the same lower-priority critical
+    # section, so they are one blocking episode, not two.
+    cc = PriorityCeiling(kernel)
+    low = make_txn([(0, "r")], priority=1)
+    high = make_txn([(0, "w"), (1, "r")], priority=2)
+    cc.register(low)
+    assert cc.acquire_async(low, 0, LockMode.READ, on_grant=lambda: None)
+    cc.register(high)
+    for oid, mode in ((0, LockMode.WRITE), (1, LockMode.READ)):
+        assert not cc.acquire_async(high, oid, mode,
+                                    on_grant=lambda: None)
+    assert san.clean, san.summary()
+
+
 # ----------------------------------------------------------------------
 # SAN-PCP-DEADLOCK — a direct-conflict wait cycle under protocol C
 # ----------------------------------------------------------------------
@@ -198,6 +214,9 @@ def test_incompatible_coexisting_grants_are_detected(kernel, san):
     LockClient(kernel, cc, second, hold=5.0, start_delay=1.0)
     kernel.run()
     assert "SAN-LOCK-RACE" in only_codes(san)
+    # The table observer and the protocol hook see the same grant:
+    # the race is reported once, not once per hook.
+    assert san.by_code()["SAN-LOCK-RACE"] == 1
     violation = next(v for v in san.violations
                      if v.code == "SAN-LOCK-RACE")
     assert violation.oid == 1

@@ -49,10 +49,20 @@ def test_turbo_summary_matches_reference_golden(name):
         + "\n  ".join(problems))
 
 
+def _no_env_sanitizer(monkeypatch) -> None:
+    """An installed sanitizer forces the reference engine, and the
+    sanitizer CI job exports REPRO_SANITIZE over the whole suite: drop
+    it, and the sanitizer it may already have cached."""
+    import repro.analyze.sanitizer
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.setattr(repro.analyze.sanitizer, "_ACTIVE", None)
+
+
 def test_engine_config_field_reaches_the_kernel(monkeypatch):
     # The env override (CI exports REPRO_ENGINE=turbo over the whole
     # suite) must not leak into this test of the *config* path.
     monkeypatch.delenv(ENV_ENGINE, raising=False)
+    _no_env_sanitizer(monkeypatch)
     from repro.core.builder import SingleSiteSystem
     from repro.core.config import SingleSiteConfig
     system = SingleSiteSystem(SingleSiteConfig(engine="turbo"))
@@ -65,6 +75,7 @@ def test_engine_config_field_reaches_the_kernel(monkeypatch):
 def test_env_var_overrides_the_config_field(monkeypatch):
     from repro.core.builder import SingleSiteSystem
     from repro.core.config import SingleSiteConfig
+    _no_env_sanitizer(monkeypatch)
     monkeypatch.setenv(ENV_ENGINE, "turbo")
     assert isinstance(
         SingleSiteSystem(SingleSiteConfig()).kernel, TurboKernel)
@@ -103,13 +114,14 @@ def test_unknown_engine_is_rejected(monkeypatch):
         make_kernel(engine="reference")
 
 
-def test_instrumentation_forces_the_reference_engine():
+def test_instrumentation_forces_the_reference_engine(monkeypatch):
     """Traced/metered/sanitized runs silently fall back to reference
     (their instrumentation contract is defined on the reference
     loop); the fallback is observable via ``active_engine`` only —
     results are identical either way."""
     from repro.telemetry.registry import metering
 
+    _no_env_sanitizer(monkeypatch)
     assert isinstance(make_kernel(engine="turbo"), TurboKernel)
     with metering():
         assert active_engine(make_kernel(engine="turbo")) == "reference"
