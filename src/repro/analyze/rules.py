@@ -892,52 +892,44 @@ class HostClockGatewayRule(Rule):
 
 
 class EventQueueInternalsRule(Rule):
-    """RPL015: event-queue internals reached outside the queue engines.
+    """RPL015: event-queue internals reached outside ``kernel/events.py``.
 
-    The repository ships two event cores behind one queue API — the
-    reference tuple heap (``kernel/events.py``) and the turbo calendar
-    (``kernel/turbo/``) — and promises bitwise-identical results
-    across them.  That promise dies the moment model or harness code
-    reaches into one engine's representation (``events._heap``,
-    ``events._drain``, dead-entry counters): such code silently breaks
-    on — or worse, silently diverges under — the other engine.  Every
-    consumer must go through the sanctioned surface (``schedule``,
-    ``pop``, ``prepare_dispatch``, ``note_dead``, ``live_entries``,
-    ``queue_stats``, ``pop_tied_entries``/``push_entry``).
+    The event queue's representation — a tuple heap plus a sorted
+    backlog drain list, with an inverted dead-entry count — is the
+    queue module's private business: the kernel's run loop, the
+    controlled scheduler and the telemetry probe all reach it through
+    one sanctioned surface (``schedule``, ``pop``, ``prepare_dispatch``,
+    ``note_dead``, ``live_entries``, ``queue_stats``,
+    ``pop_tied_entries``/``push_entry``).  Code that reads the stores
+    or counters directly silently breaks the queue's invariants (the
+    live count, compaction, the heap/drain merge order) and pins a
+    representation the queue must stay free to change.
 
     Flagged: an attribute read of a queue-internal name whose base
     expression looks like an event queue — a name or attribute spelled
     ``events``/``_events``/``queue`` (``events._heap``,
-    ``self._events._dead``, ``kernel.events._buckets``).  Unrelated
+    ``self._events._dead``, ``kernel.events._sorted``).  Unrelated
     objects with fields like ``_seq`` (the wait-queue's arrival
     counter, transaction ids) are not flagged because their base is
-    not queue-shaped.  The two engine homes are exempt, as are tests.
+    not queue-shaped.  ``kernel/events.py`` itself is exempt, as are
+    tests.
     """
 
     code = "RPL015"
     name = "event-queue-internals"
-    #: Internal attributes of either engine's event structure.
-    banned = frozenset({
-        # reference tuple-heap internals
-        "_heap", "_sorted",
-        # turbo calendar internals
-        "_buckets", "_bucket_heap", "_drain", "_spill", "_far",
-        "_current_id", "_width", "_resize_at", "_freelist",
-        # shared bookkeeping counters
-        "_dead", "_seq", "_cancelled_total", "_count",
-    })
+    #: Internal attributes of the event queue.
+    banned = frozenset({"_heap", "_sorted", "_dead", "_seq",
+                        "_cancelled_total"})
     #: Base-expression spellings that identify an event queue.
     queue_names = frozenset({"events", "_events", "queue"})
-    #: Module basenames allowed to touch reference-queue internals.
-    engine_modules = ("events.py",)
+    #: Module basenames allowed to touch the queue's internals.
+    queue_modules = ("events.py",)
 
     def applies_to(self, path: str) -> bool:
         if _is_path_part(path, "tests"):
             return False
-        if _is_path_part(path, "turbo"):
-            return False
         normalized = path.replace("\\", "/")
-        return normalized.rsplit("/", 1)[-1] not in self.engine_modules
+        return normalized.rsplit("/", 1)[-1] not in self.queue_modules
 
     def _queue_shaped(self, node: ast.AST) -> bool:
         if isinstance(node, ast.Name):
@@ -954,10 +946,10 @@ class EventQueueInternalsRule(Rule):
                 yield self.finding(
                     path, node,
                     f"event-queue internal '.{node.attr}' accessed "
-                    f"outside kernel/events.py and kernel/turbo/; use "
-                    f"the queue API (prepare_dispatch/note_dead/"
-                    f"live_entries/queue_stats/...) so both engines "
-                    f"stay interchangeable")
+                    f"outside kernel/events.py; use the queue API "
+                    f"(prepare_dispatch/note_dead/live_entries/"
+                    f"queue_stats/...) so the queue stays "
+                    f"encapsulated")
 
 
 #: The syntactic rule set, in code order.  The flow-aware rules
@@ -991,7 +983,7 @@ RULE_INDEX = {
     "RPL009": "re-declared blocking-category string literal",
     "RPL013": "hard-coded protocol-name literal outside the registry",
     "RPL014": "host-clock call outside the hostclock gateway",
-    "RPL015": "event-queue internals accessed outside the engines",
+    "RPL015": "event-queue internals accessed outside kernel/events.py",
 }
 
 # Imported at the bottom on purpose: flow_rules subclasses Rule from

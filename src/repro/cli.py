@@ -296,12 +296,6 @@ def _run_main(argv: List[str]) -> int:
                              "(default: <cache-dir>/metrics); disables "
                              "the result cache so every unit is re-run "
                              "under the metrics registry")
-    parser.add_argument("--engine", choices=("reference", "turbo"),
-                        default="reference",
-                        help="event-core engine (default "
-                             "%(default)s); results are bitwise "
-                             "identical, turbo is the throughput core "
-                             "(REPRO_ENGINE overrides)")
     args = parser.parse_args(argv)
     if args.replications < 1 or args.transactions < 1:
         print("error: --replications and --transactions must be >= 1",
@@ -356,8 +350,7 @@ def _run_main(argv: List[str]) -> int:
         config = distributed_config(
             mode, args.comm_delay, args.read_only_fraction,
             n_transactions=args.transactions)
-        config = dataclasses.replace(config, protocol=protocol,
-                                     engine=args.engine)
+        config = dataclasses.replace(config, protocol=protocol)
         if plan is not None:
             config = dataclasses.replace(config, faults=plan)
         try:
@@ -437,11 +430,6 @@ def _sweep_main(argv: List[str]) -> int:
                              "(*.metrics.jsonl) to DIR (default: "
                              "<cache-dir>/metrics); disables the "
                              "result cache")
-    parser.add_argument("--engine", choices=("reference", "turbo"),
-                        default="reference",
-                        help="event-core engine (default "
-                             "%(default)s); results are bitwise "
-                             "identical (REPRO_ENGINE overrides)")
     args = parser.parse_args(argv)
     if args.replications < 1:
         print("error: --replications must be >= 1", file=sys.stderr)
@@ -468,9 +456,7 @@ def _sweep_main(argv: List[str]) -> int:
         return 2
     from .bench import single_site_config
     try:
-        grid = [(protocol, size,
-                 dataclasses.replace(single_site_config(protocol, size),
-                                     engine=args.engine))
+        grid = [(protocol, size, single_site_config(protocol, size))
                 for protocol in protocols for size in sizes]
         for __, __, config in grid:
             config.validate()

@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from ..cc import make_protocol
 from ..db.objects import Database
-from ..kernel.turbo import make_kernel
+from ..kernel import Kernel
 from ..resources.cpu import CPU
 from ..resources.io import DiskArray, ParallelIO
 from ..txn.generator import TransactionSpec, WorkloadGenerator
@@ -39,7 +39,7 @@ class SingleSiteSystem:
         fresh one is generated from the config's workload and seed."""
         config.validate()
         self.config = config
-        self.kernel = make_kernel(config.seed, engine=config.engine)
+        self.kernel = Kernel(seed=config.seed)
         self.cc = make_protocol(config.protocol, self.kernel,
                                 config.protocol_options)
         self.cpu = CPU(self.kernel, name="cpu-0",

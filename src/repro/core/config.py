@@ -64,14 +64,6 @@ class TimingConfig:
                              f"{self.priority_policy!r}")
 
 
-def _validate_engine(engine: str) -> None:
-    # Deferred import: the kernel package must not depend on core.
-    from ..kernel.turbo import ENGINES
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of "
-                         f"{ENGINES}")
-
-
 @dataclasses.dataclass(frozen=True)
 class SingleSiteConfig:
     """One single-site experiment run (Figures 2 and 3)."""
@@ -91,17 +83,10 @@ class SingleSiteConfig:
     #: tuple so configs stay hashable and fingerprintable); validated
     #: against the protocol's registered schema.
     protocol_options: Tuple[Tuple[str, str], ...] = ()
-    #: Event-core engine ("reference" or "turbo").  Excluded from the
-    #: exec fingerprint (``metadata={"fingerprint": False}``): both
-    #: engines are bitwise-identical, so engine choice must share one
-    #: cache entry, never split it.
-    engine: str = dataclasses.field(
-        default="reference", metadata={"fingerprint": False})
 
     def validate(self) -> None:
         spec = REGISTRY.resolve(self.protocol)
         spec.validate_options(self.protocol_options)
-        _validate_engine(self.engine)
         if self.db_size < 1:
             raise ValueError("db_size must be >= 1")
         if self.io_servers is not None and self.io_servers < 1:
@@ -161,15 +146,10 @@ class DistributedConfig:
     protocol: str = "C"
     #: Per-protocol parameters as ``(name, value)`` pairs.
     protocol_options: Tuple[Tuple[str, str], ...] = ()
-    #: Event-core engine ("reference" or "turbo"); fingerprint-exempt
-    #: for the same cache-sharing reason as the single-site field.
-    engine: str = dataclasses.field(
-        default="reference", metadata={"fingerprint": False})
 
     def validate(self) -> None:
         spec = REGISTRY.resolve(self.protocol)
         options = spec.validate_options(self.protocol_options)
-        _validate_engine(self.engine)
         if (self.mode == "global"
                 and options.get("victim_policy", "none") != "none"):
             # The ceiling-manager server grants remote requests through

@@ -31,7 +31,7 @@ from ..core.monitor import PerformanceMonitor
 from ..db.replication import ReplicaCatalog
 from ..db.versions import MultiVersionStore
 from ..faults import FaultInjector
-from ..kernel.turbo import make_kernel
+from ..kernel import Kernel
 from ..protocols import REGISTRY
 from ..trace.tracer import current_tracer
 from ..txn.generator import TransactionSpec, WorkloadGenerator
@@ -56,7 +56,7 @@ class DistributedSystem:
         config.validate()
         self.config = config
         self.tracer = current_tracer()
-        self.kernel = make_kernel(config.seed, engine=config.engine)
+        self.kernel = Kernel(seed=config.seed)
         self.network = Network(self.kernel, config.n_sites,
                                config.comm_delay)
         self.catalog = ReplicaCatalog(config.db_size, config.n_sites)

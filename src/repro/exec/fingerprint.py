@@ -29,18 +29,10 @@ CODE_VERSION = "repro-exec-v3"  # v3: protocol plugin registry
 
 
 def _encode(value: object) -> object:
-    """Canonical JSON-able encoding of a config value tree.
-
-    Fields declaring ``metadata={"fingerprint": False}`` are skipped:
-    they select *how* a run executes (the event-core engine), not
-    *what* it computes, so two configs differing only there must share
-    one cache entry — a turbo run warm-hits a reference result and
-    vice versa (``tests/exec/test_engine_cache.py``).
-    """
+    """Canonical JSON-able encoding of a config value tree."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         fields = {field.name: _encode(getattr(value, field.name))
-                  for field in dataclasses.fields(value)
-                  if field.metadata.get("fingerprint", True)}
+                  for field in dataclasses.fields(value)}
         return {"__type__": type(value).__name__, "fields": fields}
     if isinstance(value, (list, tuple)):
         return [_encode(item) for item in value]

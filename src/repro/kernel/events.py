@@ -176,26 +176,6 @@ class EventQueue:
         heappush(self._heap, (time, 0.0, seq, event))
         return event
 
-    def schedule_batch(self, time: float, callback: Callable[[], None],
-                       count: int, key: float = 0.0) -> None:
-        """Schedule ``count`` indistinguishable firings of ``callback``
-        at ``time`` — the bulk-arrival API for homogeneous waves.
-
-        Declaring the firings indistinguishable is what lets an engine
-        choose its representation: this reference queue expands them
-        into ``count`` ordinary entries with consecutive sequence
-        numbers; the turbo calendar collapses them into one entry
-        occupying the same sequence range, which is order-identical
-        because no other event's ``seq`` can fall inside a range
-        allocated atomically.  Fire-and-forget on purpose (no handle
-        is returned): a cancellable bulk wave would pin ``count``
-        handles and defeat the collapsed representation.
-        """
-        if count < 1:
-            raise ValueError("schedule_batch needs count >= 1")
-        for __ in range(count):
-            self.schedule(time, callback, key)
-
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent)."""
         event.cancel()
@@ -275,7 +255,8 @@ class EventQueue:
         return batch
 
     def push_entry(self, entry: tuple) -> None:
-        """Reinsert an entry removed by :meth:`pop_tied_entries`."""
+        """Reinsert a removed entry: one :meth:`pop_tied_entries` did
+        not choose, or the first live entry past a run's horizon."""
         heappush(self._heap, entry)
 
     def _pop_live_entry(self) -> Optional[tuple]:
@@ -303,9 +284,9 @@ class EventQueue:
         return heap[0] if heap else None
 
     # ------------------------------------------------------------------
-    # dispatch API — the only sanctioned way for engines to reach the
-    # queue's stores (lint rule RPL015 bans direct ``_heap``/``_sorted``
-    # access outside this module and ``kernel/turbo/``)
+    # dispatch API — the only sanctioned way for the kernel's run loop
+    # to reach the queue's stores (lint rule RPL015 bans direct
+    # ``_heap``/``_sorted`` access outside this module)
     # ------------------------------------------------------------------
     def prepare_dispatch(self) -> tuple:
         """Hand the dispatch loop direct aliases of both stores.
@@ -349,14 +330,8 @@ class EventQueue:
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or None if empty."""
-        while True:
-            entry = self._next_entry()
-            if entry is None:
-                return None
-            event = entry[3]
-            if not event.cancelled:
-                return event
-            self._dead -= 1
+        entry = self._pop_live_entry()
+        return None if entry is None else entry[3]
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event without removing it.
@@ -364,19 +339,8 @@ class EventQueue:
         Dead prefix entries are dropped as they are skipped, so a
         peek/pop pair never scans the same dead prefix twice.
         """
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heappop(heap)
-            self._dead -= 1
-        drain = self._sorted
-        while drain and drain[-1][3].cancelled:
-            drain.pop()
-            self._dead -= 1
-        if drain:
-            if heap and heap[0] < drain[-1]:
-                return heap[0][0]
-            return drain[-1][0]
-        return heap[0][0] if heap else None
+        entry = self._peek_live_entry()
+        return None if entry is None else entry[0]
 
     def __len__(self) -> int:
         return len(self._heap) + len(self._sorted) - self._dead

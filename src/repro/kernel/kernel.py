@@ -29,7 +29,7 @@ class Kernel:
     def __init__(self, seed: int = 0, trace: Optional[Callable] = None,
                  tracer=None):
         self.clock = Clock()
-        self.events = self._new_event_queue()
+        self.events = EventQueue()
         self.rng = RngStreams(seed)
         self.processes: List[Process] = []
         #: Legacy callable(time, kind, process, detail) hook, kept for
@@ -71,13 +71,6 @@ class Kernel:
     def trace_errors(self) -> int:
         """Exceptions swallowed from the legacy trace callback."""
         return 0 if self.tracer is None else self.tracer.callback_errors
-
-    def _new_event_queue(self):
-        """Factory hook: engines substitute their own event structure
-        (the turbo engine installs a calendar queue) while every other
-        kernel service — processes, clock, RNG streams, probes — stays
-        shared between engines."""
-        return EventQueue()
 
     # ------------------------------------------------------------------
     # time
@@ -185,12 +178,14 @@ class Kernel:
         Returns the final virtual time.  Re-entrant calls are forbidden
         (model code must not call run from inside a process).
 
-        This is the hottest loop in the repository: the peek/pop pair
-        and the clock advance are inlined into direct heap and slot
-        accesses (the queue's tuple order guarantees non-decreasing
-        times, so the monotonicity check of ``Clock.advance_to`` is
-        redundant here), and process resumes read their arguments off
-        the event instead of calling through a per-event closure.
+        This is the hottest loop in the repository, so it is one loop
+        with everything inlined: the next entry is popped straight off
+        the queue's stores, the clock advance is a slot store (the
+        queue's tuple order guarantees non-decreasing times, so the
+        monotonicity check of ``Clock.advance_to`` is redundant here),
+        and process resumes read their arguments off the event instead
+        of calling through a per-event closure.  An unbounded run is a
+        run to an infinite horizon.
 
         A deep pre-built backlog (bulk-scheduled arrivals) is sorted
         once into the queue's drain list and consumed with O(1) tail
@@ -209,6 +204,7 @@ class Kernel:
         heap, drain = events.prepare_dispatch()
         clock = self.clock
         resume = self._resume
+        horizon = float("inf") if until is None else until
         # Metrics probe: one float comparison per event when on (the
         # probe samples only at window boundaries), literally nothing
         # when off (probe_next stays +inf).
@@ -216,91 +212,35 @@ class Kernel:
         probe_next = probe.next_window if probe is not None else float(
             "inf")
         try:
-            if until is None:
-                while drain:
+            while True:
+                if drain:
                     if heap and heap[0] < drain[-1]:
                         entry = heappop(heap)
                     else:
                         entry = drain.pop()
-                    event = entry[3]
-                    if event.cancelled:
-                        events.note_dead()
-                        continue
-                    clock._now = entry[0]
-                    if entry[0] >= probe_next:
-                        probe_next = probe.sample(entry[0])
-                    callback = event.callback
-                    if callback is not None:
-                        callback()
-                    else:
-                        resume(event.process, event.value, event.exc)
-                # Drain-everything loop: pop unconditionally (nothing
-                # can outlive an unbounded run, so no peek needed).
-                while heap:
+                elif heap:
                     entry = heappop(heap)
-                    event = entry[3]
-                    if event.cancelled:
-                        events.note_dead()
-                        continue
-                    clock._now = entry[0]
-                    if entry[0] >= probe_next:
-                        probe_next = probe.sample(entry[0])
-                    callback = event.callback
-                    if callback is not None:
-                        callback()
-                    else:
-                        resume(event.process, event.value, event.exc)
-            else:
-                while drain:
-                    if heap and heap[0] < drain[-1]:
-                        entry = heap[0]
-                        from_heap = True
-                    else:
-                        entry = drain[-1]
-                        from_heap = False
-                    event = entry[3]
-                    if event.cancelled:
-                        if from_heap:
-                            heappop(heap)
-                        else:
-                            drain.pop()
-                        events.note_dead()
-                        continue
-                    if entry[0] > until:
-                        # The overall-next event is past the horizon,
-                        # so the heap loop below breaks immediately
-                        # too — no live event is misordered.
-                        break
-                    if from_heap:
-                        heappop(heap)
-                    else:
-                        drain.pop()
-                    clock._now = entry[0]
-                    if entry[0] >= probe_next:
-                        probe_next = probe.sample(entry[0])
-                    callback = event.callback
-                    if callback is not None:
-                        callback()
-                    else:
-                        resume(event.process, event.value, event.exc)
-                while heap:
-                    entry = heap[0]
-                    event = entry[3]
-                    if event.cancelled:
-                        heappop(heap)
-                        events.note_dead()
-                        continue
-                    if entry[0] > until:
-                        break
-                    heappop(heap)
-                    clock._now = entry[0]
-                    if entry[0] >= probe_next:
-                        probe_next = probe.sample(entry[0])
-                    callback = event.callback
-                    if callback is not None:
-                        callback()
-                    else:
-                        resume(event.process, event.value, event.exc)
+                else:
+                    break
+                event = entry[3]
+                if event.cancelled:
+                    events.note_dead()
+                    continue
+                time = entry[0]
+                if time > horizon:
+                    # The overall-next live event is past the horizon:
+                    # put it back (order is by tuple value, so either
+                    # store serves) and stop.
+                    events.push_entry(entry)
+                    break
+                clock._now = time
+                if time >= probe_next:
+                    probe_next = probe.sample(time)
+                callback = event.callback
+                if callback is not None:
+                    callback()
+                else:
+                    resume(event.process, event.value, event.exc)
         finally:
             self._dispatching = False
         if until is not None and clock._now < until:

@@ -1,11 +1,9 @@
 """RPL015: event-queue internals must stay behind the queue API.
 
-Two interchangeable event cores (the reference tuple heap in
-``kernel/events.py`` and the turbo calendar in ``kernel/turbo/``)
-promise bitwise-identical results.  Code that reaches into either
-representation (``events._heap``, ``events._drain``, dead counters)
-would silently break on the other engine, so the rule bans those
-attribute reads everywhere except the two engine homes.
+The queue in ``kernel/events.py`` keeps its stores (``_heap``,
+``_sorted``) and counters (``_dead``, ``_seq``) private; code that
+reaches into them would break the queue's invariants, so the rule
+bans those attribute reads everywhere except the queue module itself.
 """
 import textwrap
 from pathlib import Path
@@ -49,17 +47,9 @@ def test_fires_on_private_events_attribute_base():
     source = """
     class Harness:
         def peek(self):
-            return self._events._buckets
+            return self._events._heap
     """
     assert codes(source) == ["RPL015"]
-
-
-def test_fires_on_turbo_internals_from_outside():
-    source = """
-    def inspect(queue):
-        return queue._drain, queue._spill, queue._freelist
-    """
-    assert codes(source) == ["RPL015", "RPL015", "RPL015"]
 
 
 def test_silent_on_unrelated_seq_counter():
@@ -90,14 +80,6 @@ def test_silent_inside_reference_engine_module():
         events._heap.sort()
     """
     assert codes(source, path="src/repro/kernel/events.py") == []
-
-
-def test_silent_inside_turbo_package():
-    source = """
-    def advance(events):
-        events._drain.extend(events._spill)
-    """
-    assert codes(source, path="src/repro/kernel/turbo/engine.py") == []
 
 
 def test_silent_in_tests():
