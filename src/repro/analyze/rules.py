@@ -894,21 +894,20 @@ class HostClockGatewayRule(Rule):
 class EventQueueInternalsRule(Rule):
     """RPL015: event-queue internals reached outside ``kernel/events.py``.
 
-    The event queue's representation — a tuple heap plus a sorted
-    backlog drain list, with an inverted dead-entry count — is the
-    queue module's private business: the kernel's run loop, the
-    controlled scheduler and the telemetry probe all reach it through
-    one sanctioned surface (``schedule``, ``pop``, ``prepare_dispatch``,
-    ``note_dead``, ``live_entries``, ``queue_stats``,
-    ``pop_tied_entries``/``push_entry``).  Code that reads the stores
-    or counters directly silently breaks the queue's invariants (the
-    live count, compaction, the heap/drain merge order) and pins a
-    representation the queue must stay free to change.
+    The event queue's representation — a tuple heap with an inverted
+    dead-entry count and reserved sequence numbers — is the queue
+    module's private business: the kernel's run loop, the controlled
+    scheduler and the telemetry probe reach it only through its
+    methods (``dispatch_heap``, ``note_dead``, ``queue_stats``, ...).
+    Code that reads the heap or counters directly silently breaks the
+    queue's invariants (the live count, compaction, the reserved
+    block) and pins a representation the queue must stay free to
+    change.
 
     Flagged: an attribute read of a queue-internal name whose base
     expression looks like an event queue — a name or attribute spelled
     ``events``/``_events``/``queue`` (``events._heap``,
-    ``self._events._dead``, ``kernel.events._sorted``).  Unrelated
+    ``self._events._dead``, ``kernel.events._seq``).  Unrelated
     objects with fields like ``_seq`` (the wait-queue's arrival
     counter, transaction ids) are not flagged because their base is
     not queue-shaped.  ``kernel/events.py`` itself is exempt, as are
@@ -918,7 +917,7 @@ class EventQueueInternalsRule(Rule):
     code = "RPL015"
     name = "event-queue-internals"
     #: Internal attributes of the event queue.
-    banned = frozenset({"_heap", "_sorted", "_dead", "_seq",
+    banned = frozenset({"_heap", "_dead", "_seq", "_reserved",
                         "_cancelled_total"})
     #: Base-expression spellings that identify an event queue.
     queue_names = frozenset({"events", "_events", "queue"})
@@ -947,7 +946,7 @@ class EventQueueInternalsRule(Rule):
                     path, node,
                     f"event-queue internal '.{node.attr}' accessed "
                     f"outside kernel/events.py; use the queue API "
-                    f"(prepare_dispatch/note_dead/live_entries/"
+                    f"(dispatch_heap/note_dead/live_entries/"
                     f"queue_stats/...) so the queue stays "
                     f"encapsulated")
 

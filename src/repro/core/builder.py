@@ -7,17 +7,18 @@ generate the next transaction."
 
 :class:`SingleSiteSystem` assembles the single-site stack of §3
 (kernel + CPU + parallel I/O + database + protocol + monitor) and
-:func:`build_distributed` (in :mod:`repro.dist.system`) the distributed
-stack of §4; both schedule arrivals from the deterministic workload
-schedule so every protocol sees the identical transaction stream.
+:class:`~repro.dist.system.DistributedSystem` the distributed stack of
+§4; both draw arrivals lazily from the deterministic workload
+generator, so every protocol sees the identical transaction stream.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from ..cc import make_protocol
 from ..db.objects import Database
+from ..db.replication import ReplicaCatalog
 from ..kernel import Kernel
 from ..resources.cpu import CPU
 from ..resources.io import DiskArray, ParallelIO
@@ -29,14 +30,30 @@ from .config import SingleSiteConfig
 from .monitor import PerformanceMonitor
 
 
+def stream_arrivals(kernel: Kernel, config,
+                    schedule: Optional[List[TransactionSpec]],
+                    admit: Callable[[TransactionSpec], None],
+                    catalog: Optional[ReplicaCatalog] = None) -> None:
+    """Feed ``admit`` the replayed ``schedule`` or, without one, the
+    config's generated workload, one arrival instant at a time."""
+    if schedule is None:
+        generator = WorkloadGenerator.from_config(kernel.rng, config,
+                                                  catalog)
+        kernel.arrivals(generator.iter_specs(), generator.n_transactions,
+                        admit)
+    else:
+        kernel.arrivals(schedule, len(schedule), admit)
+
+
 class SingleSiteSystem:
     """A fully wired single-site real-time database instance."""
 
     def __init__(self, config: SingleSiteConfig,
                  schedule: Optional[List[TransactionSpec]] = None):
         """With ``schedule`` given, the provided arrival schedule is
-        replayed (common random numbers across protocols); otherwise a
-        fresh one is generated from the config's workload and seed."""
+        replayed (common random numbers across protocols) and kept;
+        otherwise one is generated lazily from the config's workload
+        and seed, and ``self.schedule`` is None."""
         config.validate()
         self.config = config
         self.kernel = Kernel(seed=config.seed)
@@ -56,20 +73,8 @@ class SingleSiteSystem:
         self.monitor = PerformanceMonitor()
         self.assigner = PriorityAssigner(config.timing.priority_policy)
         self._active = 0
-        if schedule is None:
-            workload = config.workload
-            generator = WorkloadGenerator(
-                self.kernel.rng, config.db_size,
-                workload.mean_interarrival, workload.transaction_size,
-                workload.n_transactions,
-                read_only_fraction=workload.read_only_fraction,
-                write_fraction=workload.write_fraction,
-                size_jitter=workload.size_jitter)
-            schedule = generator.generate()
         self.schedule = schedule
-        for spec in schedule:
-            self.kernel.at(spec.arrival,
-                           lambda spec=spec: self._admit(spec))
+        stream_arrivals(self.kernel, config, schedule, self._admit)
 
     # ------------------------------------------------------------------
     def _admit(self, spec: TransactionSpec) -> None:

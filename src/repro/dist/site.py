@@ -27,6 +27,9 @@ from .network import Network
 
 _reply_counter = itertools.count(1)
 
+#: Resident lists shorter than this are never pruned.
+_PRUNE_MIN = 16
+
 
 class Site:
     """One node of the distributed system."""
@@ -54,6 +57,7 @@ class Site:
         #: server loops are *not* resident — they are modelled as
         #: recovering from stable state when the site comes back.
         self.resident = []
+        self._prune_at = _PRUNE_MIN
         #: Replica-update dedup memory: (origin site, origin tid, oid,
         #: version ts) of every update already applied here.  Kept on
         #: "stable storage" (survives crashes), like the copies it
@@ -89,8 +93,15 @@ class Site:
     # crash / recovery (fail-stop model; see DESIGN.md)
     # ------------------------------------------------------------------
     def adopt(self, process) -> None:
-        """Bind ``process``'s lifetime to this site's volatile state."""
-        self.resident.append(process)
+        """Bind ``process``'s lifetime to this site's volatile state.
+        Terminated residents are pruned, in order, when the list
+        doubles: amortized O(1) per adoption, O(live) memory."""
+        resident = self.resident
+        resident.append(process)
+        if len(resident) >= self._prune_at:
+            resident[:] = [other for other in resident
+                           if not other.terminated]
+            self._prune_at = 2 * len(resident) + _PRUNE_MIN
 
     def crash(self, exc_factory):
         """Fail-stop: interrupt every resident process with

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..core.builder import stream_arrivals
 from ..core.config import DistributedConfig
 from ..core.monitor import PerformanceMonitor
 from ..db.replication import ReplicaCatalog
@@ -34,7 +35,7 @@ from ..faults import FaultInjector
 from ..kernel import Kernel
 from ..protocols import REGISTRY
 from ..trace.tracer import current_tracer
-from ..txn.generator import TransactionSpec, WorkloadGenerator
+from ..txn.generator import TransactionSpec
 from ..txn.priority import PriorityAssigner, proportional_deadline
 from ..txn.transaction import (SiteFailure, Transaction,
                                TransactionStatus)
@@ -133,21 +134,9 @@ class DistributedSystem:
                     f"replica-applier-{site.site_id}",
                     priority=float("inf"))
 
-        if schedule is None:
-            workload = config.workload
-            generator = WorkloadGenerator(
-                self.kernel.rng, config.db_size,
-                workload.mean_interarrival, workload.transaction_size,
-                workload.n_transactions,
-                read_only_fraction=workload.read_only_fraction,
-                write_fraction=workload.write_fraction,
-                size_jitter=workload.size_jitter,
-                n_sites=config.n_sites, catalog=self.catalog)
-            schedule = generator.generate()
         self.schedule = schedule
-        for spec in schedule:
-            self.kernel.at(spec.arrival,
-                           lambda spec=spec: self._admit(spec))
+        stream_arrivals(self.kernel, config, schedule, self._admit,
+                        self.catalog)
 
     # ------------------------------------------------------------------
     def _admit(self, spec: TransactionSpec) -> None:

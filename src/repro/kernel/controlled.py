@@ -100,8 +100,7 @@ def entry_label(entry: tuple) -> str:
     """A replay-stable description of a queued event entry.
 
     Process resumes are labelled by process name; bare callbacks by
-    qualified name plus the ``repr`` of their closure cells (the
-    builder schedules arrivals as ``lambda spec=spec: ...``, so the
+    qualified name plus the ``repr`` of their closure cells (so the
     cells distinguish otherwise identical lambdas).  Memory addresses
     are scrubbed so the label is identical across replays.
     """
@@ -238,6 +237,7 @@ class SchedulerController:
                     events.push_entry(other)
                 clock._now = time
                 event = entry[3]
+                event.queue = None
                 callback = event.callback
                 if callback is not None:
                     callback()

@@ -21,13 +21,9 @@ Hot-path design (this queue is the innermost loop of every run):
   heap is dead (timer-heavy workloads: deadline watchdogs armed per
   transaction and cancelled at commit), the heap is compacted in place,
   bounding both memory and the ``log(heap)`` factor of every push.
-- **sorted backlog drain** — a large pre-built backlog (bulk-scheduled
-  arrivals, event storms) is sorted *once* into a descending list and
-  consumed with O(1) tail pops, instead of paying an O(log n) sift per
-  pop through a deep heap.  New arrivals land in the (now near-empty)
-  heap and are min-merged with the backlog by a single tuple
-  comparison.  Order is the same total order either way, so dispatch
-  order — and therefore every simulation result — is unchanged.
+- **reserved sequence numbers** — arrivals are queued one instant
+  ahead (:meth:`~repro.kernel.Kernel.arrivals`) under sequence numbers
+  reserved at build time, so the heap holds only the active set.
 """
 
 from __future__ import annotations
@@ -39,16 +35,12 @@ from typing import Any, Callable, Iterator, Optional
 #: exceed the scan cost it saves).
 _COMPACT_MIN = 64
 
-#: Backlogs smaller than this are drained straight off the heap; above
-#: it, one sort plus O(1) tail pops beats per-pop sifting.
-_SORT_MIN = 2048
-
 
 class Event:
     """A scheduled callback or process resume.
 
-    Create via :meth:`EventQueue.schedule` /
-    :meth:`EventQueue.schedule_resume`.  Exactly one of ``callback``
+    Created by :class:`EventQueue`'s ``schedule*`` methods.  Exactly one
+    of ``callback``
     (bare callable) or ``process`` (resume target, with ``value`` /
     ``exc`` delivered at the yield point) is set.
     """
@@ -56,36 +48,18 @@ class Event:
     __slots__ = ("time", "key", "seq", "callback", "cancelled",
                  "process", "value", "exc", "queue")
 
-    def __init__(self, time: float, key: float, seq: int,
-                 callback: Optional[Callable[[], None]],
-                 process: Any = None, value: Any = None,
-                 exc: Optional[BaseException] = None,
-                 queue: Optional["EventQueue"] = None):
-        self.time = time
-        self.key = key
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        self.process = process
-        self.value = value
-        self.exc = exc
-        self.queue = queue
-
     def cancel(self) -> None:
         """Mark the event so it will be skipped when its time comes.
 
         Goes through the owning queue so live-event accounting (and the
         compaction trigger) stays exact no matter which handle the
-        caller held.
+        caller held.  A no-op once the event was dispatched: dispatch
+        clears ``queue``.
         """
-        if not self.cancelled:
+        queue = self.queue
+        if queue is not None and not self.cancelled:
             self.cancelled = True
-            if self.queue is not None:
-                self.queue._note_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.key, self.seq) < (other.time, other.key,
-                                                  other.seq)
+            queue._note_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = " cancelled" if self.cancelled else ""
@@ -95,33 +69,25 @@ class Event:
 class EventQueue:
     """A stable priority queue of :class:`Event` objects.
 
-    Live-count bookkeeping is *inverted*: the queue counts dead
-    (cancelled, still-queued) entries, and ``len`` is derived as
-    ``entries - dead``.  Scheduling and popping live events — the
-    overwhelmingly common operations — therefore touch no counter at
-    all; only cancellation and dead-entry reaping do.
-
-    Entries live in two stores with one total order between them:
-
-    - ``_heap`` — a heap of ``(time, key, seq, Event)`` tuples; every
-      ``schedule`` lands here.
-    - ``_sorted`` — a *descending*-sorted drain list, filled by
-      :meth:`_sort_backlog` when the kernel is about to dispatch a deep
-      backlog.  The next event overall is the smaller of ``_heap[0]``
-      and ``_sorted[-1]`` (one C tuple comparison; ``seq`` is unique so
-      there are never ties).
+    Entries are ``(time, key, seq, Event)`` tuples in one heap, so tuple
+    order is event order.  Live-count bookkeeping is *inverted*: the
+    queue counts dead (cancelled, still-queued) entries, and ``len`` is
+    derived as ``entries - dead``.  Scheduling and popping live events —
+    the overwhelmingly common operations — therefore touch no counter
+    at all; only cancellation and dead-entry reaping do.
     """
 
-    __slots__ = ("_heap", "_sorted", "_seq", "_dead",
+    __slots__ = ("_heap", "_seq", "_reserved", "_dead",
                  "_cancelled_total")
 
     def __init__(self) -> None:
         #: Heap of (time, key, seq, Event) — tuple order == event order.
         self._heap: list = []
-        #: Descending drain list; consumed from the tail.
-        self._sorted: list = []
         self._seq = 0
-        #: Cancelled entries still sitting in either store.
+        #: Sequence numbers handed out by :meth:`reserve` and not yet
+        #: queued: neither live nor dispatched.
+        self._reserved = 0
+        #: Cancelled entries still in the heap.
         self._dead = 0
         #: Lifetime cancellation count (never decremented); the
         #: telemetry KernelProbe derives timer churn from it.
@@ -134,9 +100,9 @@ class EventQueue:
         ``key`` breaks ties among events at the same instant: lower keys
         fire first.  Returns the :class:`Event`, which may be cancelled.
 
-        The event is built via ``__new__`` + direct slot stores — this
-        is the allocation every simulated action pays, and skipping the
-        ``__init__`` frame is measurably cheaper.
+        The event is built via ``__new__`` + direct slot stores, with no
+        ``__init__`` frame: this is the allocation every simulated
+        action pays.
         """
         seq = self._seq
         self._seq = seq + 1
@@ -176,6 +142,25 @@ class EventQueue:
         heappush(self._heap, (time, 0.0, seq, event))
         return event
 
+    def reserve(self, count: int) -> int:
+        """Set aside ``count`` sequence numbers; returns the first.
+        Events queued at them later (:meth:`schedule_reserved`) order
+        exactly as if they had been scheduled now."""
+        base = self._seq
+        self._seq = base + count
+        self._reserved += count
+        return base
+
+    def schedule_reserved(self, time: float, callback: Callable[[], None],
+                          seq: int) -> Event:
+        """Schedule ``callback`` at ``time`` (key 0) under a sequence
+        number taken from :meth:`reserve`."""
+        self._reserved -= 1
+        next_seq, self._seq = self._seq, seq
+        event = self.schedule(time, callback)
+        self._seq = next_seq
+        return event
+
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent)."""
         event.cancel()
@@ -184,53 +169,21 @@ class EventQueue:
         """One live event became dead; compact when mostly dead."""
         self._dead += 1
         self._cancelled_total += 1
-        size = len(self._heap) + len(self._sorted)
+        size = len(self._heap)
         if size > _COMPACT_MIN and self._dead * 2 > size:
             self.compact()
 
-    def _sort_backlog(self) -> None:
-        """Move the heap's contents into the sorted drain list.
-
-        Both list *identities* are preserved (extend/clear, never
-        rebind): the kernel's dispatch loop and :meth:`compact` hold
-        direct references to them.  Any leftover drain entries are
-        merged before sorting, so the call is always safe.
-        """
-        heap = self._heap
-        if heap:
-            drain = self._sorted
-            drain.extend(heap)
-            heap.clear()
-            drain.sort(reverse=True)
-
     def compact(self) -> None:
-        """Drop every cancelled entry from both stores, in place.
+        """Drop every cancelled entry from the heap, in place.
 
-        In place on purpose: the kernel's dispatch loop holds direct
-        references to both lists, which must stay valid across a
-        compaction triggered from inside an event callback.  Filtering
-        preserves the drain list's descending order.
+        In place on purpose: the kernel's dispatch loop holds a direct
+        reference to the heap, which must stay valid across a
+        compaction triggered from inside an event callback.
         """
         heap = self._heap
         heap[:] = [entry for entry in heap if not entry[3].cancelled]
         heapify(heap)
-        drain = self._sorted
-        if drain:
-            drain[:] = [entry for entry in drain
-                        if not entry[3].cancelled]
         self._dead = 0
-
-    def _next_entry(self) -> Optional[tuple]:
-        """Remove and return the overall-smallest entry (dead or live)."""
-        heap = self._heap
-        drain = self._sorted
-        if drain:
-            if heap and heap[0] < drain[-1]:
-                return heappop(heap)
-            return drain.pop()
-        if heap:
-            return heappop(heap)
-        return None
 
     def pop_tied_entries(self) -> list:
         """Remove and return every live entry tied at the earliest
@@ -260,78 +213,66 @@ class EventQueue:
         heappush(self._heap, entry)
 
     def _pop_live_entry(self) -> Optional[tuple]:
-        while True:
-            entry = self._next_entry()
-            if entry is None:
-                return None
+        heap = self._heap
+        while heap:
+            entry = heappop(heap)
             if not entry[3].cancelled:
                 return entry
             self._dead -= 1
+        return None
 
     def _peek_live_entry(self) -> Optional[tuple]:
         heap = self._heap
         while heap and heap[0][3].cancelled:
             heappop(heap)
             self._dead -= 1
-        drain = self._sorted
-        while drain and drain[-1][3].cancelled:
-            drain.pop()
-            self._dead -= 1
-        if drain:
-            if heap and heap[0] < drain[-1]:
-                return heap[0]
-            return drain[-1]
         return heap[0] if heap else None
 
     # ------------------------------------------------------------------
     # dispatch API — the only sanctioned way for the kernel's run loop
-    # to reach the queue's stores (lint rule RPL015 bans direct
-    # ``_heap``/``_sorted`` access outside this module)
+    # to reach the queue's heap (lint rule RPL015 bans direct
+    # ``_heap`` access outside this module)
     # ------------------------------------------------------------------
-    def prepare_dispatch(self) -> tuple:
-        """Hand the dispatch loop direct aliases of both stores.
+    def dispatch_heap(self) -> list:
+        """The heap itself, for the dispatch loop to pop directly.
 
-        Sorts a deep pre-built backlog into the drain list first (one
-        sort plus O(1) tail pops beats per-pop sifting), then returns
-        ``(heap, drain)``.  Both list identities are stable across
-        compaction and backlog sorting, so a run loop may hold them for
-        its whole lifetime.
+        Its identity is stable across compaction, so a run loop may
+        hold it for its whole lifetime.  The loop must clear
+        ``event.queue`` on every event it dispatches.
         """
-        if len(self._heap) >= _SORT_MIN:
-            self._sort_backlog()
-        return self._heap, self._sorted
+        return self._heap
 
     def note_dead(self, count: int = 1) -> None:
         """A dispatch loop removed ``count`` dead (cancelled) entries."""
         self._dead -= count
 
     def live_entries(self) -> Iterator[tuple]:
-        """Every live queued entry, in store order (not sorted)."""
+        """Every live queued entry, in heap order (not sorted)."""
         for entry in self._heap:
-            if not entry[3].cancelled:
-                yield entry
-        for entry in self._sorted:
             if not entry[3].cancelled:
                 yield entry
 
     def queue_stats(self) -> tuple:
         """``(live, dispatched_total, cancelled_total)`` for telemetry.
 
-        Entries leave the stores by dispatch, by dead-skip on pop, or
-        by compaction; the latter two total ``cancelled - dead``, which
-        is how the lifetime dispatch count is derived from the sequence
-        counter.
+        A sequence number handed out is reserved but unqueued, queued,
+        dispatched, or cancelled and reaped (``cancelled - dead`` of
+        those), which is how the dispatch count is derived from it.
         """
-        raw = len(self._heap) + len(self._sorted)
+        raw = len(self._heap)
         dead = self._dead
         cancelled = self._cancelled_total
-        dispatched = self._seq - raw - (cancelled - dead)
+        dispatched = self._seq - self._reserved - raw - (cancelled - dead)
         return raw - dead, dispatched, cancelled
 
     def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or None if empty."""
+        """Remove and return the next live event (now dispatched, so no
+        longer cancellable), or None if empty."""
         entry = self._pop_live_entry()
-        return None if entry is None else entry[3]
+        if entry is None:
+            return None
+        entry[3].queue = None
+        return entry[3]
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event without removing it.
@@ -343,7 +284,4 @@ class EventQueue:
         return None if entry is None else entry[0]
 
     def __len__(self) -> int:
-        return len(self._heap) + len(self._sorted) - self._dead
-
-    def __bool__(self) -> bool:
-        return len(self._heap) + len(self._sorted) > self._dead
+        return len(self._heap) - self._dead

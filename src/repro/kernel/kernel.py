@@ -12,7 +12,8 @@ where swapping a synchronization protocol touches only its own module.
 from __future__ import annotations
 
 from heapq import heappop
-from typing import Any, Callable, Generator, List, Optional
+from typing import (Any, Callable, Dict, Generator, Iterable, List,
+                    Optional)
 
 from .clock import Clock
 from .errors import (InvalidProcessState, KernelError, ProcessInterrupt,
@@ -24,14 +25,15 @@ from .syscalls import BLOCKED, Immediate, SysCall
 
 
 class Kernel:
-    """Owns the clock, the event queue, and every process."""
+    """Owns the clock, the event queue, and every live process."""
 
     def __init__(self, seed: int = 0, trace: Optional[Callable] = None,
                  tracer=None):
         self.clock = Clock()
         self.events = EventQueue()
         self.rng = RngStreams(seed)
-        self.processes: List[Process] = []
+        #: Live processes (an insertion-ordered set; see processes).
+        self._live: Dict[Process, None] = {}
         #: Legacy callable(time, kind, process, detail) hook, kept for
         #: source compatibility.  It is routed through the structured
         #: Tracer adapter, which *guards* it: a raising callback is
@@ -90,9 +92,59 @@ class Kernel:
         """Schedule a bare callback ``delay`` units from now."""
         return self.at(self.now + delay, callback)
 
+    def arrivals(self, specs: Iterable[Any], count: int,
+                 admit: Callable[[Any], None]) -> None:
+        """Call ``admit(spec)`` at each ``spec.arrival``.
+
+        ``specs`` yields ``count`` objects with non-decreasing
+        ``arrival`` times.  Their sequence numbers are reserved now, so
+        each dispatches with the ``(time, 0.0, seq)`` it would have had
+        if scheduled here; but one instant's arrivals are queued at a
+        time, together (so they stay one tie), when the last arrival
+        of the instant before fires.
+        """
+        events = self.events
+        seq = events.reserve(count)
+        end = seq + count
+        specs = iter(specs)
+        head = next(specs, None)
+        pending = 0
+
+        def queue_instant() -> None:
+            nonlocal head, seq, pending
+            time = head.arrival
+            if time < self.clock._now:
+                raise ValueError(f"cannot schedule in the past: {time}")
+            while head is not None and head.arrival == time:
+                if seq == end:
+                    raise ValueError(f"more than {count} arrivals")
+                events.schedule_reserved(
+                    time, lambda spec=head: fire(spec), seq)
+                seq += 1
+                pending += 1
+                head = next(specs, None)
+            if head is not None and head.arrival < time:
+                raise ValueError(f"arrival times decrease: "
+                                 f"{head.arrival} after {time}")
+
+        def fire(spec: Any) -> None:
+            nonlocal pending
+            admit(spec)
+            pending -= 1
+            if not pending and head is not None:
+                queue_instant()
+
+        if head is not None:
+            queue_instant()
+
     # ------------------------------------------------------------------
     # process control
     # ------------------------------------------------------------------
+    @property
+    def processes(self) -> List[Process]:
+        """The live (not yet terminated) processes, in spawn order."""
+        return list(self._live)
+
     def spawn(self, body: Generator, name: str,
               priority: float = 0.0) -> Process:
         """Create a process and schedule its first step at the current
@@ -102,7 +154,7 @@ class Kernel:
                 f"process body must be a generator (did you forget to call "
                 f"the generator function?): got {type(body).__name__}")
         process = Process(body, name, priority)
-        self.processes.append(process)
+        self._live[process] = None
         process.state = ProcessState.READY
         process.pending_resume = self.events.schedule_resume(
             self.clock._now, process)
@@ -180,17 +232,12 @@ class Kernel:
 
         This is the hottest loop in the repository, so it is one loop
         with everything inlined: the next entry is popped straight off
-        the queue's stores, the clock advance is a slot store (the
+        the queue's heap, the clock advance is a slot store (the
         queue's tuple order guarantees non-decreasing times, so the
         monotonicity check of ``Clock.advance_to`` is redundant here),
         and process resumes read their arguments off the event instead
         of calling through a per-event closure.  An unbounded run is a
         run to an infinite horizon.
-
-        A deep pre-built backlog (bulk-scheduled arrivals) is sorted
-        once into the queue's drain list and consumed with O(1) tail
-        pops; events scheduled *during* dispatch land in the now-tiny
-        heap and are min-merged by one tuple comparison per step.
         """
         controller = self.controller
         if controller is not None:
@@ -199,9 +246,8 @@ class Kernel:
             raise SimulationOver("Kernel.run is not re-entrant")
         self._dispatching = True
         events = self.events
-        # Both aliases are stable: compaction and backlog sorting
-        # mutate the lists in place, never rebind them.
-        heap, drain = events.prepare_dispatch()
+        # Stable alias: compaction mutates the heap in place.
+        heap = events.dispatch_heap()
         clock = self.clock
         resume = self._resume
         horizon = float("inf") if until is None else until
@@ -212,28 +258,21 @@ class Kernel:
         probe_next = probe.next_window if probe is not None else float(
             "inf")
         try:
-            while True:
-                if drain:
-                    if heap and heap[0] < drain[-1]:
-                        entry = heappop(heap)
-                    else:
-                        entry = drain.pop()
-                elif heap:
-                    entry = heappop(heap)
-                else:
-                    break
+            while heap:
+                entry = heappop(heap)
                 event = entry[3]
                 if event.cancelled:
                     events.note_dead()
                     continue
                 time = entry[0]
                 if time > horizon:
-                    # The overall-next live event is past the horizon:
-                    # put it back (order is by tuple value, so either
-                    # store serves) and stop.
+                    # The next live event is past the horizon: put it
+                    # back and stop.
                     events.push_entry(entry)
                     break
                 clock._now = time
+                # Dispatched: a later cancel() must not count it dead.
+                event.queue = None
                 if time >= probe_next:
                     probe_next = probe.sample(time)
                 callback = event.callback
@@ -325,6 +364,7 @@ class Kernel:
     def _terminate(self, process: Process, result: Any = None,
                    exception: Optional[BaseException] = None) -> None:
         process.state = ProcessState.TERMINATED
+        self._live.pop(process, None)
         process.result = result
         process.exception = exception
         process.generator.close()
@@ -337,3 +377,4 @@ class Kernel:
                 self.ready(joiner, exc=exception)
             else:
                 self.ready(joiner, value=result)
+

@@ -20,7 +20,7 @@ compare C, P and L fairly.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..db.locks import LockMode
 from ..db.replication import ReplicaCatalog
@@ -104,16 +104,34 @@ class WorkloadGenerator:
                 f"catalog has {catalog.n_sites} sites, generator expects "
                 f"{n_sites}")
 
+    @classmethod
+    def from_config(cls, rng: RngStreams, config,
+                    catalog: Optional[ReplicaCatalog] = None
+                    ) -> "WorkloadGenerator":
+        """The generator a system config's workload describes, over
+        ``catalog``'s sites when given."""
+        workload = config.workload
+        return cls(rng, config.db_size, workload.mean_interarrival,
+                   workload.transaction_size, workload.n_transactions,
+                   read_only_fraction=workload.read_only_fraction,
+                   write_fraction=workload.write_fraction,
+                   size_jitter=workload.size_jitter,
+                   n_sites=catalog.n_sites if catalog is not None else 1,
+                   catalog=catalog)
+
     # ------------------------------------------------------------------
-    def generate(self) -> List[TransactionSpec]:
-        """Produce the full arrival schedule, deterministically."""
-        specs: List[TransactionSpec] = []
+    def iter_specs(self) -> Iterator[TransactionSpec]:
+        """The arrival schedule, lazily: every draw comes from a named
+        stream, so the specs equal :meth:`generate`'s."""
         clock = 0.0
         for index in range(self.n_transactions):
             clock += self.rng.exponential(f"{self._prefix}.arrivals",
                                           self.mean_interarrival)
-            specs.append(self._one(index, clock))
-        return specs
+            yield self._one(index, clock)
+
+    def generate(self) -> List[TransactionSpec]:
+        """Produce the full arrival schedule, deterministically."""
+        return list(self.iter_specs())
 
     def _one(self, index: int, arrival: float) -> TransactionSpec:
         read_only = (self.rng.random(f"{self._prefix}.mix")

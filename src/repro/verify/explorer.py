@@ -344,8 +344,6 @@ def _dispose(instance) -> None:
     firing against a half-torn-down system prints ignored-exception
     noise."""
     for process in instance.kernel.processes:
-        if process.terminated:
-            continue
         try:
             process.generator.close()
         except BaseException:

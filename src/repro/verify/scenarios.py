@@ -166,8 +166,7 @@ class ScenarioInstance:
     def unfinished_transactions(self) -> List[str]:
         """Names of transaction-manager processes that never finished."""
         return [process.name for process in self.kernel.processes
-                if process.name.startswith("tm-")
-                and not process.terminated]
+                if process.name.startswith("tm-")]
 
 
 class Scenario:

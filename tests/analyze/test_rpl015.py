@@ -1,7 +1,7 @@
 """RPL015: event-queue internals must stay behind the queue API.
 
-The queue in ``kernel/events.py`` keeps its stores (``_heap``,
-``_sorted``) and counters (``_dead``, ``_seq``) private; code that
+The queue in ``kernel/events.py`` keeps its heap (``_heap``) and
+counters (``_dead``, ``_seq``, ``_reserved``) private; code that
 reaches into them would break the queue's invariants, so the rule
 bans those attribute reads everywhere except the queue module itself.
 """
@@ -38,7 +38,7 @@ def test_fires_on_attribute_chained_queue_base():
     source = """
     class Probe:
         def snapshot(self, kernel):
-            return len(kernel.events._sorted) + kernel.events._dead
+            return kernel.events._reserved + kernel.events._dead
     """
     assert codes(source) == ["RPL015", "RPL015"]
 
@@ -67,7 +67,7 @@ def test_silent_on_unrelated_seq_counter():
 def test_silent_on_sanctioned_queue_api():
     source = """
     def pump(events):
-        entry = events.prepare_dispatch()
+        heap = events.dispatch_heap()
         events.note_dead(1)
         return events.queue_stats(), list(events.live_entries())
     """

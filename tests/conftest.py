@@ -9,10 +9,13 @@ assertions inspect.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.db.locks import LockMode
 from repro.kernel import Delay, Kernel
+from repro.kernel.process import Process
 from repro.txn.transaction import Transaction, TransactionType
 
 
@@ -95,3 +98,23 @@ class LockClient:
     @property
     def aborted(self):
         return any(event == "aborted" for __, event, ___ in self.timeline)
+
+
+def _run_objects():
+    return sum(isinstance(obj, (Process, Transaction))
+               for obj in gc.get_objects())
+
+
+def retained_after_run(build):
+    """``Transaction`` and ``Process`` objects a finished run still
+    holds while its system is alive: built by ``build()`` and its run,
+    surviving a full collection.  Also checks that the kernel lists
+    no terminated process."""
+    gc.collect()
+    before = _run_objects()
+    system = build()
+    system.run()
+    assert not [process for process in system.kernel.processes
+                if process.terminated]
+    gc.collect()
+    return _run_objects() - before

@@ -7,7 +7,9 @@ import pytest
 from repro.core import (SingleSiteConfig, SingleSiteSystem, TimingConfig,
                         WorkloadConfig, compare_protocols, replicate,
                         run_single_site, sweep)
+from repro.kernel.rng import RngStreams
 from repro.txn import CostModel
+from repro.txn.generator import WorkloadGenerator
 
 
 def tiny_config(protocol="C", **workload_overrides):
@@ -55,12 +57,17 @@ def test_same_seed_is_deterministic():
 
 
 def test_explicit_schedule_replayed_across_protocols():
-    base = SingleSiteSystem(tiny_config("C"))
-    schedule = base.schedule
+    base = tiny_config("C")
+    schedule = WorkloadGenerator.from_config(RngStreams(base.seed),
+                                             base).generate()
+    assert SingleSiteSystem(base).schedule is None  # generated lazily
     other = SingleSiteSystem(tiny_config("L"), schedule=schedule)
     assert other.schedule == schedule
     other.run()
     assert other.monitor.processed == 20
+    # Replaying the eagerly generated list reproduces the lazy run.
+    lazy = SingleSiteSystem(tiny_config("L")).run()
+    assert other.monitor.summary() == lazy.summary()
 
 
 def test_summary_merges_cc_stats_and_utilization():

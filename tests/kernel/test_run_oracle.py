@@ -4,18 +4,17 @@ The oracle is a plain list of pending records; each step dispatches
 the live record with the smallest ``(time, key, seq)``.  Random
 programs mix bare callbacks and process resumes, cancel events before
 the run and from inside callbacks, and schedule new events at the
-current instant or later.  Each program runs as several bounded
-``run(until=h)`` segments and a final unbounded ``run()``.  The
-backlog threshold ``_SORT_MIN`` is lowered so the sorted-drain merge
-and a horizon stop while draining are both reached.
+current instant or later; a cancel may also target an event that has
+already fired, which must change nothing.  Each program runs as several
+bounded ``run(until=h)`` segments and a final unbounded ``run()``.
 """
 
-from unittest import mock
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.kernel.events as events_module
 from repro.kernel import Kernel
 from repro.kernel.process import Process, ProcessState
 
@@ -39,8 +38,9 @@ class _Driver:
     Every scheduled event gets the next tag (== its sequence number:
     both sides schedule in the same order).  Firing an event logs
     ``(tag, now)`` and applies its reactions: ``at`` schedules a leaf
-    event ``delta`` after now, ``cancel`` cancels a tag that has not
-    fired yet.  Resumes carry key 0, as ``schedule_resume`` does.
+    event ``delta`` after now, ``cancel`` cancels any tag scheduled so
+    far (a no-op on one that has fired).  Resumes carry key 0, as
+    ``schedule_resume`` does.
     """
 
     def __init__(self):
@@ -56,9 +56,7 @@ class _Driver:
 
     def cancel(self, index):
         if self.count:
-            tag = index % self.count
-            if tag not in self.fired:
-                self._cancel(tag)
+            self._cancel(index % self.count)
 
     def fire(self, tag, reactions):
         self.fired.add(tag)
@@ -116,7 +114,7 @@ class _Oracle(_Driver):
         self.pending.append((time, key, tag, reactions))
 
     def _cancel(self, tag):
-        if tag not in self.cancelled:
+        if tag not in self.cancelled and tag not in self.fired:
             self.cancelled.add(tag)
             self.cancelled_total += 1
 
@@ -150,14 +148,12 @@ def _play(side, program):
             for horizon in horizons + [None]]
 
 
-@given(_INITIAL, _PRE_CANCELS, _HORIZONS, st.sampled_from([2, 4, 8]))
+@given(_INITIAL, _PRE_CANCELS, _HORIZONS)
 @settings(max_examples=250, deadline=None)
-def test_run_matches_the_naive_oracle(initial, pre_cancels, horizons,
-                                      sort_min):
+def test_run_matches_the_naive_oracle(initial, pre_cancels, horizons):
     program = (initial, pre_cancels, horizons)
-    with mock.patch.object(events_module, "_SORT_MIN", sort_min):
-        kernel_side = _KernelSide()
-        kernel_segments = _play(kernel_side, program)
+    kernel_side = _KernelSide()
+    kernel_segments = _play(kernel_side, program)
     oracle = _Oracle()
     oracle_segments = _play(oracle, program)
 
@@ -171,20 +167,62 @@ def test_run_matches_the_naive_oracle(initial, pre_cancels, horizons,
                                     oracle.cancelled_total)
 
 
-def test_horizon_stop_while_draining_keeps_order(monkeypatch):
-    # A sorted backlog stopped mid-drain by the horizon, topped up, then
+def test_horizon_stop_while_draining_keeps_order():
+    # A backlog stopped mid-drain by the horizon, topped up, then
     # resumed: the survivors still dispatch in (time, key, seq) order.
-    monkeypatch.setattr(events_module, "_SORT_MIN", 4)
     kernel = Kernel()
     log = []
     for time in (5.0, 1.0, 4.0, 2.0, 3.0, 6.0):
         kernel.at(time, lambda time=time: log.append(time))
     assert kernel.run(until=2.5) == 2.5
     assert log == [1.0, 2.0]
-    assert kernel.events._sorted  # the stop left the drain non-empty
     kernel.at(2.5, lambda: log.append(2.5))
     kernel.at(4.0, lambda: log.append("4.0 later"))
     kernel.run()
     assert log == [1.0, 2.0, 2.5, 3.0, 4.0, "4.0 later", 5.0, 6.0]
     assert len(kernel.events) == 0
     assert kernel.events.queue_stats() == (0, 8, 0)
+
+
+def test_cancel_after_dispatch_is_a_noop():
+    kernel = Kernel()
+    event = kernel.at(1.0, lambda: None)
+    kernel.run()
+    event.cancel()
+    assert len(kernel.events) == 0
+    assert not kernel.events
+    assert kernel.events.queue_stats() == (0, 1, 0)
+
+
+def _arrivals(*times):
+    return [SimpleNamespace(arrival=time, index=index)
+            for index, time in enumerate(times)]
+
+
+def test_decreasing_schedule_raises():
+    kernel = Kernel()
+    admitted = []
+    kernel.arrivals(_arrivals(1.0, 2.0, 1.5), 3, admitted.append)
+    with pytest.raises(ValueError, match="decrease"):
+        kernel.run()
+    assert [spec.index for spec in admitted] == [0]
+
+
+def test_simultaneous_arrivals_pop_as_one_tie():
+    kernel = Kernel()
+    kernel.at(0.5, lambda: None)  # seq 0, before the reserved block
+    admitted = []
+    kernel.arrivals(_arrivals(1.0, 1.0, 1.0, 2.0), 4, admitted.append)
+    events = kernel.events
+    # Queued: the timer and the three 1.0 arrivals; the 2.0 arrival's
+    # reserved seq is neither live nor dispatched yet.
+    assert events.queue_stats() == (4, 0, 0)
+    assert events.pop_tied_entries()[0][2] == 0  # the timer alone
+    batch = events.pop_tied_entries()
+    assert [entry[2] for entry in batch] == [1, 2, 3]
+    assert {entry[0] for entry in batch} == {1.0}
+    for entry in batch:
+        events.push_entry(entry)
+    kernel.run()
+    assert [spec.index for spec in admitted] == [0, 1, 2, 3]
+    assert events.queue_stats() == (0, 5, 0)
